@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"gobolt/bolt"
 	"gobolt/internal/cc"
+	"gobolt/internal/cfi"
 	"gobolt/internal/core"
 	"gobolt/internal/elfx"
 	"gobolt/internal/ld"
@@ -402,5 +406,49 @@ func TestZeroOptionsNoFootgun(t *testing.T) {
 	}
 	if len(passes.BuildPipeline(core.Options{})) != len(passes.BuildPipeline(core.DefaultOptions())) {
 		t.Fatal("BuildPipeline treats the zero value as all-off")
+	}
+}
+
+// TestHostileCFIRegisterRejected: an input whose unwind table names
+// register 200 is refused at load. Accepting it would intern a rule the
+// emitter cannot express, so the output's unwind table would silently
+// differ from the input's.
+func TestHostileCFIRegisterRejected(t *testing.T) {
+	f := buildTiny(t)
+	sec := f.Section(cfi.FrameSectionName)
+	fdes, err := cfi.DecodeFrames(sec.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patched := false
+	for i := range fdes {
+		for j := range fdes[i].Insts {
+			if in := &fdes[i].Insts[j].Inst; !patched && in.Kind == cfi.OpOffset {
+				in.Reg, patched = 200, true
+			}
+		}
+	}
+	if !patched {
+		t.Fatal("no FDE saves a register")
+	}
+	sec.Data = cfi.EncodeFrames(fdes)
+	data, err := f.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "hostile.elf")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := core.NewContext(context.Background(), f, core.DefaultOptions()); err == nil {
+		t.Error("core.NewContext accepted a CFI rule naming register 200")
+	}
+	sess, err := bolt.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Optimize(context.Background()); err == nil || !strings.Contains(err.Error(), "register 200") {
+		t.Errorf("Optimize error = %v, want one naming register 200", err)
 	}
 }

@@ -13,7 +13,9 @@ package cfi
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -87,26 +89,74 @@ type FDE struct {
 	Insts []PCInst
 }
 
-// State is the evaluated unwind state at some program counter.
+// NumRegs bounds the register numbers a CFI rule may name: the sixteen
+// general-purpose registers plus the return-address column.
+const NumRegs = 17
+
+// State is the evaluated unwind state at some program counter. It is a
+// comparable value: the offset slot of an unsaved register is always
+// zero, so two states are equal exactly when == says so.
 type State struct {
 	CfaReg uint8
 	CfaOff int32
-	// Saved maps register -> offset from CFA where its old value lives.
-	Saved map[uint8]int32
+	saved  uint32         // bit r set: register r is saved
+	offs   [NumRegs]int32 // offs[r]: offset from the CFA where r's old value lives
 }
 
-func (s *State) clone() State {
-	m := make(map[uint8]int32, len(s.Saved))
-	for k, v := range s.Saved {
-		m[k] = v
+// Saved returns the CFA offset of register r's spill slot and whether r
+// is saved at all.
+func (s *State) Saved(r uint8) (int32, bool) {
+	if s.saved&(1<<r) == 0 {
+		return 0, false
 	}
-	return State{CfaReg: s.CfaReg, CfaOff: s.CfaOff, Saved: m}
+	return s.offs[r], true
+}
+
+// Save records register r (< NumRegs) as saved at CFA + off.
+func (s *State) Save(r uint8, off int32) {
+	s.saved |= 1 << r
+	s.offs[r] = off
+}
+
+// Restore marks register r (< NumRegs) as no longer saved.
+func (s *State) Restore(r uint8) {
+	s.saved &^= 1 << r
+	s.offs[r] = 0
 }
 
 // InitialState is the ABI-defined state at function entry: CFA = rsp + 8
 // (the call pushed the return address), nothing saved yet.
 func InitialState() State {
-	return State{CfaReg: 4 /* rsp */, CfaOff: 8, Saved: map[uint8]int32{}}
+	return State{CfaReg: 4 /* rsp */, CfaOff: 8}
+}
+
+// Apply executes one CFI instruction on s; stack holds the states saved
+// by remember_state. Registers must be < NumRegs, which DecodeFrames
+// guarantees. It fails on a restore_state with an empty stack, leaving
+// s unchanged.
+func (s *State) Apply(in Inst, stack *[]State) error {
+	switch in.Kind {
+	case OpDefCfa:
+		s.CfaReg, s.CfaOff = in.Reg, in.Off
+	case OpDefCfaRegister:
+		s.CfaReg = in.Reg
+	case OpDefCfaOffset:
+		s.CfaOff = in.Off
+	case OpOffset:
+		s.Save(in.Reg, in.Off)
+	case OpRestore:
+		s.Restore(in.Reg)
+	case OpRememberState:
+		*stack = append(*stack, *s)
+	case OpRestoreState:
+		n := len(*stack)
+		if n == 0 {
+			return errors.New("cfi: restore_state with empty stack")
+		}
+		*s = (*stack)[n-1]
+		*stack = (*stack)[:n-1]
+	}
+	return nil
 }
 
 // Evaluate replays the FDE's CFI program up to (and including) code offset
@@ -118,25 +168,8 @@ func (f *FDE) Evaluate(pc uint32) (State, error) {
 		if pi.PC > pc {
 			break
 		}
-		switch pi.Inst.Kind {
-		case OpDefCfa:
-			st.CfaReg, st.CfaOff = pi.Inst.Reg, pi.Inst.Off
-		case OpDefCfaRegister:
-			st.CfaReg = pi.Inst.Reg
-		case OpDefCfaOffset:
-			st.CfaOff = pi.Inst.Off
-		case OpOffset:
-			st.Saved[pi.Inst.Reg] = pi.Inst.Off
-		case OpRestore:
-			delete(st.Saved, pi.Inst.Reg)
-		case OpRememberState:
-			stack = append(stack, st.clone())
-		case OpRestoreState:
-			if len(stack) == 0 {
-				return st, fmt.Errorf("cfi: restore_state with empty stack at pc %#x", pc)
-			}
-			st = stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
+		if err := st.Apply(pi.Inst, &stack); err != nil {
+			return st, fmt.Errorf("%w at pc %#x", err, pc)
 		}
 	}
 	return st, nil
@@ -144,7 +177,10 @@ func (f *FDE) Evaluate(pc uint32) (State, error) {
 
 // --- Binary encoding of the frame table (.eh_frame analogue) ---
 
-const fdeInstSize = 12 // pc u32, kind u8, reg u8, pad u16, off i32
+const (
+	fdeHeaderSize = 24 // start u64, len u32, lsda u64, inst count u32
+	fdeInstSize   = 12 // pc u32, kind u8, reg u8, pad u16, off i32
+)
 
 // EncodeFrames serializes FDEs to a frame section payload.
 func EncodeFrames(fdes []FDE) []byte {
@@ -173,9 +209,12 @@ func DecodeFrames(data []byte) ([]FDE, error) {
 	}
 	n := binary.LittleEndian.Uint32(data)
 	p := 4
+	if uint64(n)*fdeHeaderSize > uint64(len(data)-p) {
+		return nil, fmt.Errorf("cfi: %d FDEs do not fit a %d-byte frame section", n, len(data))
+	}
 	fdes := make([]FDE, 0, n)
 	for i := uint32(0); i < n; i++ {
-		if p+24 > len(data) {
+		if p+fdeHeaderSize > len(data) {
 			return nil, fmt.Errorf("cfi: truncated FDE header")
 		}
 		var f FDE
@@ -183,20 +222,24 @@ func DecodeFrames(data []byte) ([]FDE, error) {
 		f.Len = binary.LittleEndian.Uint32(data[p+8:])
 		f.LSDA = binary.LittleEndian.Uint64(data[p+12:])
 		cnt := binary.LittleEndian.Uint32(data[p+20:])
-		p += 24
+		p += fdeHeaderSize
 		if p+int(cnt)*fdeInstSize > len(data) {
 			return nil, fmt.Errorf("cfi: truncated FDE body")
 		}
 		f.Insts = make([]PCInst, cnt)
 		for j := uint32(0); j < cnt; j++ {
-			f.Insts[j] = PCInst{
-				PC: binary.LittleEndian.Uint32(data[p:]),
-				Inst: Inst{
-					Kind: OpKind(data[p+4]),
-					Reg:  data[p+5],
-					Off:  int32(binary.LittleEndian.Uint32(data[p+8:])),
-				},
+			in := Inst{
+				Kind: OpKind(data[p+4]),
+				Reg:  data[p+5],
+				Off:  int32(binary.LittleEndian.Uint32(data[p+8:])),
 			}
+			switch in.Kind {
+			case OpDefCfa, OpDefCfaRegister, OpOffset, OpRestore:
+				if in.Reg >= NumRegs {
+					return nil, fmt.Errorf("cfi: FDE at %#x: %v names register %d (want < %d)", f.Start, in.Kind, in.Reg, NumRegs)
+				}
+			}
+			f.Insts[j] = PCInst{PC: binary.LittleEndian.Uint32(data[p:]), Inst: in}
 			p += fdeInstSize
 		}
 		fdes = append(fdes, f)
@@ -308,20 +351,13 @@ func StateDiff(from, to *State) []Inst {
 		out = append(out, Inst{Kind: OpDefCfa, Reg: to.CfaReg, Off: to.CfaOff})
 	}
 	// Deterministic order: restores then offsets, by register number.
-	for r := uint8(0); r < 17; r++ {
-		if _, had := from.Saved[r]; had {
-			if _, has := to.Saved[r]; !has {
-				out = append(out, Inst{Kind: OpRestore, Reg: r})
-			}
-		}
+	for m := from.saved &^ to.saved; m != 0; m &= m - 1 {
+		out = append(out, Inst{Kind: OpRestore, Reg: uint8(bits.TrailingZeros32(m))})
 	}
-	for r := uint8(0); r < 17; r++ {
-		off, has := to.Saved[r]
-		if !has {
-			continue
-		}
-		if old, had := from.Saved[r]; !had || old != off {
-			out = append(out, Inst{Kind: OpOffset, Reg: r, Off: off})
+	for m := to.saved; m != 0; m &= m - 1 {
+		r := bits.TrailingZeros32(m)
+		if from.saved&(1<<r) == 0 || from.offs[r] != to.offs[r] {
+			out = append(out, Inst{Kind: OpOffset, Reg: uint8(r), Off: to.offs[r]})
 		}
 	}
 	return out

@@ -1,6 +1,8 @@
 package cfi
 
 import (
+	"bytes"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -23,27 +25,33 @@ func standardPrologue() FDE {
 	}
 }
 
+// saved reports whether st saves register r at exactly off.
+func saved(st State, r uint8, off int32) bool {
+	got, ok := st.Saved(r)
+	return ok && got == off
+}
+
 func TestEvaluate(t *testing.T) {
 	f := standardPrologue()
 	st, err := f.Evaluate(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.CfaReg != 4 || st.CfaOff != 8 || len(st.Saved) != 0 {
+	if st != InitialState() {
 		t.Errorf("entry state wrong: %+v", st)
 	}
 	st, err = f.Evaluate(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.CfaReg != 4 || st.CfaOff != 16 || st.Saved[6] != -16 {
+	if st.CfaReg != 4 || st.CfaOff != 16 || !saved(st, 6, -16) {
 		t.Errorf("state after push rbp wrong: %+v", st)
 	}
 	st, err = f.Evaluate(0x20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.CfaReg != 6 || st.CfaOff != 16 || st.Saved[3] != -24 || st.Saved[6] != -16 {
+	if st.CfaReg != 6 || st.CfaOff != 16 || !saved(st, 3, -24) || !saved(st, 6, -16) {
 		t.Errorf("steady state wrong: %+v", st)
 	}
 }
@@ -60,11 +68,11 @@ func TestRememberRestore(t *testing.T) {
 		},
 	}
 	st, _ := f.Evaluate(0x10)
-	if st.CfaOff != 24 || st.Saved[3] != -24 {
+	if st.CfaOff != 24 || !saved(st, 3, -24) {
 		t.Errorf("inside region: %+v", st)
 	}
 	st, _ = f.Evaluate(0x30)
-	if st.CfaOff != 16 || len(st.Saved) != 0 {
+	if want := (State{CfaReg: 4, CfaOff: 16}); st != want {
 		t.Errorf("after restore: %+v", st)
 	}
 }
@@ -162,4 +170,138 @@ func TestDecodeGarbage(t *testing.T) {
 	if _, err := DecodeLSDA([]byte{255, 0, 0, 0}, 0); err == nil {
 		t.Error("oversized LSDA accepted")
 	}
+}
+
+func TestDecodeRejectsHighRegister(t *testing.T) {
+	for _, in := range []Inst{
+		{Kind: OpDefCfa, Reg: NumRegs, Off: 16},
+		{Kind: OpDefCfaRegister, Reg: 200},
+		{Kind: OpOffset, Reg: 200, Off: -16},
+		{Kind: OpRestore, Reg: 255},
+	} {
+		f := FDE{Start: 0x1000, Len: 8, Insts: []PCInst{{PC: 1, Inst: in}}}
+		if _, err := DecodeFrames(EncodeFrames([]FDE{f})); err == nil {
+			t.Errorf("%v accepted", in)
+		}
+	}
+	// The highest valid register and rules whose Reg field is unused
+	// still decode.
+	f := FDE{Start: 0x1000, Len: 8, Insts: []PCInst{
+		{PC: 1, Inst: Inst{Kind: OpOffset, Reg: NumRegs - 1, Off: -16}},
+		{PC: 2, Inst: Inst{Kind: OpDefCfaOffset, Reg: 200, Off: 24}},
+	}}
+	if _, err := DecodeFrames(EncodeFrames([]FDE{f})); err != nil {
+		t.Errorf("valid program rejected: %v", err)
+	}
+}
+
+// randState draws a state with a random saved set, random (often
+// colliding) offsets and a random CFA.
+func randState(rng *rand.Rand) State {
+	off := func() int32 {
+		if rng.IntN(4) == 0 {
+			return int32(rng.Uint32())
+		}
+		return []int32{-24, -16, -8, 0, 8}[rng.IntN(5)]
+	}
+	st := State{CfaReg: uint8(rng.IntN(NumRegs)), CfaOff: off()}
+	for r := uint8(0); r < NumRegs; r++ {
+		if rng.IntN(2) == 0 {
+			st.Save(r, off())
+		}
+	}
+	return st
+}
+
+// replay applies a diff to from and returns the resulting state.
+func replay(t *testing.T, from State, diff []Inst) State {
+	t.Helper()
+	var stack []State
+	for _, in := range diff {
+		if err := from.Apply(in, &stack); err != nil {
+			t.Fatalf("replaying %v: %v", in, err)
+		}
+	}
+	return from
+}
+
+func TestStateDiffRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for i := 0; i < 5000; i++ {
+		a, b := randState(rng), randState(rng)
+		if i%2 == 0 {
+			// Near pairs: b is a with a few registers or the CFA changed.
+			b = a
+			for r := uint8(0); r < NumRegs; r++ {
+				switch rng.IntN(6) {
+				case 0:
+					b.Restore(r)
+				case 1:
+					b.Save(r, int32(rng.IntN(64))-32)
+				}
+			}
+			if rng.IntN(2) == 0 {
+				b.CfaOff += 8
+			}
+		}
+		diff := StateDiff(&a, &b)
+		if got := replay(t, a, diff); got != b {
+			t.Fatalf("pair %d: diff %v turns %+v into %+v, want %+v", i, diff, a, got, b)
+		}
+		if (len(diff) == 0) != (a == b) {
+			t.Fatalf("pair %d: diff %v between states equal=%v", i, diff, a == b)
+		}
+		// Order: an optional def_cfa, then restores, then offsets, each
+		// group by ascending register.
+		rank := map[OpKind]int{OpDefCfa: 0, OpRestore: 1, OpOffset: 2}
+		for j := 1; j < len(diff); j++ {
+			p, c := diff[j-1], diff[j]
+			if rank[p.Kind] > rank[c.Kind] || (p.Kind == c.Kind && p.Reg >= c.Reg) {
+				t.Fatalf("pair %d: diff out of order: %v", i, diff)
+			}
+		}
+	}
+}
+
+func FuzzDecodeFrames(f *testing.F) {
+	rr := FDE{Start: 0x400100, Len: 0x40, LSDA: 0x500000, Insts: []PCInst{
+		{PC: 1, Inst: Inst{Kind: OpDefCfa, Reg: 6, Off: 16}},
+		{PC: 8, Inst: Inst{Kind: OpRememberState}},
+		{PC: 8, Inst: Inst{Kind: OpRestore, Reg: 6}},
+		{PC: 0x20, Inst: Inst{Kind: OpRestoreState}},
+	}}
+	f.Add(EncodeFrames([]FDE{standardPrologue(), rr}))
+	f.Add(EncodeFrames(nil))
+	f.Add([]byte{1, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fdes, err := DecodeFrames(data)
+		if err != nil {
+			return // rejected inputs just must not panic
+		}
+		enc := EncodeFrames(fdes)
+		got, err := DecodeFrames(enc)
+		if err != nil {
+			t.Fatalf("re-decode failed: %v", err)
+		}
+		if !bytes.Equal(EncodeFrames(got), enc) {
+			t.Fatal("encode is not a fixpoint after one round trip")
+		}
+		init := InitialState()
+		for i := range fdes {
+			fde := &fdes[i]
+			pcs := []uint32{fde.Len}
+			for _, pi := range fde.Insts {
+				pcs = append(pcs, pi.PC)
+			}
+			for _, pc := range pcs {
+				st, err := fde.Evaluate(pc)
+				if err != nil {
+					continue
+				}
+				if got := replay(t, init, StateDiff(&init, &st)); got != st {
+					t.Fatalf("FDE %d pc %#x: diff replay gives %+v, want %+v", i, pc, got, st)
+				}
+			}
+		}
+	})
 }

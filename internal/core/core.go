@@ -298,7 +298,7 @@ type BinaryFunction struct {
 
 	Blocks    []*BasicBlock // current layout order
 	cfiStates []cfi.State
-	stateKeys map[string]int32
+	stateKeys map[cfi.State]int32
 	JTs       []*JumpTable
 
 	HasLSDA   bool
@@ -331,9 +331,6 @@ type BinaryFunction struct {
 
 	jtPending map[int]*pendingJT
 	instIndex map[uint64]instRef
-	// keyBuf is InternState's reusable key-encoding scratch. Safe because
-	// a function is only ever mutated by the one worker that owns it.
-	keyBuf []byte
 }
 
 type instRef struct {
@@ -365,21 +362,17 @@ func (f *BinaryFunction) buildInstIndex() {
 // NumBlocks returns the block count.
 func (f *BinaryFunction) NumBlocks() int { return len(f.Blocks) }
 
-// InternState interns a CFI state and returns its index. It is hot under
-// the parallel loader (one call per instruction of every framed
-// function), so the lookup key is encoded into a reusable scratch buffer
-// and only materialized as a string on first insertion.
+// InternState interns a CFI state and returns its index.
 func (f *BinaryFunction) InternState(st cfi.State) int32 {
-	f.keyBuf = appendStateKey(f.keyBuf[:0], st)
-	if i, ok := f.stateKeys[string(f.keyBuf)]; ok {
+	if i, ok := f.stateKeys[st]; ok {
 		return i
 	}
 	if f.stateKeys == nil {
-		f.stateKeys = map[string]int32{}
+		f.stateKeys = map[cfi.State]int32{}
 	}
 	i := int32(len(f.cfiStates))
-	f.cfiStates = append(f.cfiStates, cloneState(st))
-	f.stateKeys[string(f.keyBuf)] = i
+	f.cfiStates = append(f.cfiStates, st)
+	f.stateKeys[st] = i
 	return i
 }
 
@@ -389,51 +382,6 @@ func (f *BinaryFunction) StateAt(idx int32) *cfi.State {
 		return nil
 	}
 	return &f.cfiStates[idx]
-}
-
-// appendStateKey encodes a CFI state into buf as a compact comparable
-// key: CFA register and offset, then the saved-register set sorted by
-// register number with each register's CFA offset. The layout
-// (5 + 5*len(Saved) bytes) is unambiguous, so two states map to the same
-// key iff they are equal. This replaces a fmt.Sprintf renderer that
-// allocated several strings per call.
-func appendStateKey(buf []byte, st cfi.State) []byte {
-	buf = append(buf, st.CfaReg,
-		byte(st.CfaOff), byte(st.CfaOff>>8), byte(st.CfaOff>>16), byte(st.CfaOff>>24))
-	if len(st.Saved) == 0 {
-		return buf
-	}
-	regsAt := len(buf)
-	for r := range st.Saved {
-		buf = append(buf, r)
-	}
-	// Insertion sort: the saved set is a handful of callee-saved
-	// registers at most.
-	regs := buf[regsAt:]
-	for i := 1; i < len(regs); i++ {
-		for j := i; j > 0 && regs[j] < regs[j-1]; j-- {
-			regs[j], regs[j-1] = regs[j-1], regs[j]
-		}
-	}
-	for _, r := range regs {
-		off := st.Saved[r]
-		buf = append(buf, byte(off), byte(off>>8), byte(off>>16), byte(off>>24))
-	}
-	return buf
-}
-
-func cloneState(st cfi.State) cfi.State {
-	// A nil Saved map for the (common) no-saved-registers state: readers
-	// only range over or look up in it, and the replay state the clone
-	// detaches from is mutated through its own map, never this one.
-	var m map[uint8]int32
-	if len(st.Saved) > 0 {
-		m = make(map[uint8]int32, len(st.Saved))
-		for k, v := range st.Saved {
-			m[k] = v
-		}
-	}
-	return cfi.State{CfaReg: st.CfaReg, CfaOff: st.CfaOff, Saved: m}
 }
 
 // BlockAt finds the block starting at the given original address.

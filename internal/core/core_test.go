@@ -135,31 +135,44 @@ func TestStateInterning(t *testing.T) {
 		t.Fatal("identical states must intern to one index")
 	}
 	s2 := InitialStateForTest()
-	s2.Saved[3] = -24
+	s2.Save(3, -24)
 	if fn.InternState(s2) == a {
 		t.Fatal("distinct states must not collide")
 	}
-	// The compact key must be insensitive to map iteration order: a
-	// multi-register state interned twice (maps built in different
-	// insertion orders) yields one index.
+	// The key must be insensitive to the order registers were saved in:
+	// a multi-register state built in two orders yields one index.
 	s3 := InitialStateForTest()
-	s3.Saved[3], s3.Saved[6], s3.Saved[12] = -24, -16, -8
+	s3.Save(3, -24)
+	s3.Save(6, -16)
+	s3.Save(12, -8)
 	s4 := InitialStateForTest()
-	s4.Saved[12], s4.Saved[6], s4.Saved[3] = -8, -16, -24
+	s4.Save(12, -8)
+	s4.Save(6, -16)
+	s4.Save(3, -24)
 	if fn.InternState(s3) != fn.InternState(s4) {
 		t.Fatal("saved-register order must not affect the interned key")
 	}
 	// Same registers, one differing offset: distinct.
 	s5 := InitialStateForTest()
-	s5.Saved[3], s5.Saved[6], s5.Saved[12] = -24, -16, -80
+	s5.Save(3, -24)
+	s5.Save(6, -16)
+	s5.Save(12, -80)
 	if fn.InternState(s5) == fn.InternState(s3) {
 		t.Fatal("states differing only in a saved offset must not collide")
 	}
-	// Negative CFA offsets must round-trip through the encoding.
+	// Negative CFA offsets must round-trip through the key.
 	s6 := InitialStateForTest()
 	s6.CfaOff = -8
 	if fn.InternState(s6) == fn.InternState(InitialStateForTest()) {
 		t.Fatal("states differing in CFA offset must not collide")
+	}
+	// Restore clears the offset slot, so save-then-restore is the
+	// initial state again: == and the interned key depend on it.
+	s7 := InitialStateForTest()
+	s7.Save(3, -24)
+	s7.Restore(3)
+	if s7 != InitialStateForTest() || fn.InternState(s7) != a {
+		t.Fatal("save then restore must equal and intern as the initial state")
 	}
 }
 

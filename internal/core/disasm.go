@@ -675,27 +675,10 @@ func (ctx *BinaryContext) attachCFI(fn *BinaryFunction) {
 	k := 0
 	apply := func(upto uint32) {
 		for k < len(fde.Insts) && fde.Insts[k].PC <= upto {
-			in := fde.Insts[k].Inst
-			switch in.Kind {
-			case cfi.OpDefCfa:
-				st.CfaReg, st.CfaOff = in.Reg, in.Off
-			case cfi.OpDefCfaRegister:
-				st.CfaReg = in.Reg
-			case cfi.OpDefCfaOffset:
-				st.CfaOff = in.Off
-			case cfi.OpOffset:
-				st.Saved[in.Reg] = in.Off
-			case cfi.OpRestore:
-				delete(st.Saved, in.Reg)
-			case cfi.OpRememberState:
-				//boltvet:alloc-ok remember/restore nesting is rare (depth 0 for almost every function); lazy append beats an unconditional prealloc
-				stack = append(stack, cloneState(st))
-			case cfi.OpRestoreState:
-				if len(stack) > 0 {
-					st = stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-				}
-			}
+			// The only error the decoded program can raise is a
+			// restore_state with an empty stack; the loader ignores it
+			// and keeps the current state.
+			_ = st.Apply(fde.Insts[k].Inst, &stack)
 			k++
 		}
 	}

@@ -1,6 +1,7 @@
 package ld
 
 import (
+	"bytes"
 	"testing"
 
 	"gobolt/internal/obj"
@@ -83,6 +84,36 @@ func TestLinkerICFFoldsRelocFreeOnly(t *testing.T) {
 	}
 	if c.Value == a.Value {
 		t.Errorf("dupC (with relocs) must not fold")
+	}
+}
+
+// TestLinkerICFAliasesDeterministic: the symbols of folded functions
+// are emitted in name order, so repeated links of one program serialize
+// to identical bytes.
+func TestLinkerICFAliasesDeterministic(t *testing.T) {
+	link := func() []byte {
+		objs := tinyObjects()
+		for _, name := range []string{"dupA", "dupB", "dupC", "dupD", "dupE"} {
+			objs[0].Funcs = append(objs[0].Funcs, &obj.Func{Name: name, Bytes: []byte{0x48, 0x31, 0xC0, 0xC3}})
+		}
+		res, err := Link(objs, Options{ICF: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.ICFFolded != 4 {
+			t.Fatalf("folded %d, want 4", res.ICFFolded)
+		}
+		data, err := res.File.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	want := link()
+	for i := 0; i < 20; i++ {
+		if !bytes.Equal(link(), want) {
+			t.Fatalf("link %d differs from the first", i)
+		}
 	}
 }
 

@@ -186,26 +186,16 @@ func (s ShrinkWrapping) runOne(fc *core.FuncCtx, fn *core.BinaryFunction) {
 
 	// 4. CFI: remove reg from every state outside the home block; inside
 	// (after the push) it stays saved at the same CFA offset.
-	inHome := func(st cfi.State) cfi.State {
-		st.Saved[uint8(reg)] = saveOff
-		return st
-	}
-	outHome := func(st cfi.State) cfi.State {
-		delete(st.Saved, uint8(reg))
-		return st
-	}
-	remap := func(b *core.BasicBlock, f func(cfi.State) cfi.State) {
+	inHome := func(st *cfi.State) { st.Save(uint8(reg), saveOff) }
+	outHome := func(st *cfi.State) { st.Restore(uint8(reg)) }
+	remap := func(b *core.BasicBlock, f func(*cfi.State)) {
 		for i := range b.Insts {
 			if b.Insts[i].CFIIdx < 0 {
 				continue
 			}
-			st := fn.StateAt(b.Insts[i].CFIIdx)
-			ns := cfi.State{CfaReg: st.CfaReg, CfaOff: st.CfaOff, Saved: map[uint8]int32{}}
-			for k, v := range st.Saved {
-				ns.Saved[k] = v
-			}
-			ns = f(ns)
-			b.Insts[i].CFIIdx = fn.InternState(ns)
+			st := *fn.StateAt(b.Insts[i].CFIIdx)
+			f(&st)
+			b.Insts[i].CFIIdx = fn.InternState(st)
 		}
 	}
 	for _, b := range fn.Blocks {
