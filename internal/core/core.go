@@ -236,6 +236,8 @@ type Edge struct {
 
 // BasicBlock is a node of the reconstructed CFG.
 type BasicBlock struct {
+	// Index is the block's position in its function's Blocks; every pass
+	// that restructures Blocks renumbers.
 	Index int
 	Label string
 	Addr  uint64 // original start address
@@ -311,10 +313,11 @@ type BinaryFunction struct {
 	// a reference to another function.
 	FoldedInto *BinaryFunction
 
-	// ICFKey caches the congruence key computed by the (parallel) ICF
-	// hash pass; the sequential fold pass consumes and clears it, so a
-	// stale key never survives into a later round.
-	ICFKey string
+	// ICFHash caches the hash of the canonical body encoding computed by
+	// the (parallel) ICF hash pass; 0 means not computed. The sequential
+	// fold pass consumes and clears it, so a stale hash never survives
+	// into a later round.
+	ICFHash uint64
 
 	// IsSplit marks functions whose cold blocks go to the cold section.
 	IsSplit bool

@@ -30,6 +30,11 @@ type FunctionPass interface {
 type FuncCtx struct {
 	*BinaryContext
 	stats map[string]int64
+
+	// Scratch is a byte buffer private to this worker that a pass may
+	// reuse from one function to the next; its contents never outlive a
+	// RunOnFunction call.
+	Scratch []byte
 }
 
 // CountStat bumps a named statistic in the worker-private shard.

@@ -30,11 +30,7 @@ func ComputeShapes(ctx *BinaryContext) map[string]profile.FuncShape {
 func computeFuncShape(fn *BinaryFunction, buf []byte) (profile.FuncShape, []byte) {
 	sh := profile.FuncShape{Blocks: make([]profile.BlockShape, len(fn.Blocks))}
 	for i, b := range fn.Blocks {
-		buf = buf[:0]
-		for k := range b.Insts {
-			in := &b.Insts[k].I
-			buf = append(buf, byte(in.Op), byte(in.Cc))
-		}
+		buf = appendCanonBlock(buf[:0], fn, b, canonOpcode)
 		bs := profile.BlockShape{Off: b.Addr - fn.Addr, Hash: stale.HashBytes(buf)}
 		for _, e := range b.Succs {
 			if e.To != nil {

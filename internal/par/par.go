@@ -8,7 +8,9 @@ package par
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,12 +34,46 @@ func Jobs(jobs, n int) int {
 	return jobs
 }
 
+// PanicError is the error a pool returns for a work item that panicked.
+// The pool recovers the panic, so a malformed input that trips a bug in
+// one item fails the phase like any other item error instead of
+// crashing the process.
+type PanicError struct {
+	Item  int    // the item index whose work panicked
+	Name  string // the item's task name, when the caller names items
+	Value any    // the value passed to panic
+	Stack []byte // the panicking goroutine's stack: the error replaces the crash report
+}
+
+func (e *PanicError) Error() string {
+	if e.Name != "" {
+		return fmt.Sprintf("item %d (%s) panicked: %v", e.Item, e.Name, e.Value)
+	}
+	return fmt.Sprintf("item %d panicked: %v", e.Item, e.Value)
+}
+
+// call runs work on one item, converting a panic into a *PanicError
+// named by taskName when it is non-nil.
+func call(work func(worker, item int) error, taskName func(item int) string, w, i int) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			pe := &PanicError{Item: i, Value: v, Stack: debug.Stack()}
+			if taskName != nil {
+				pe.Name = taskName(i)
+			}
+			err = pe
+		}
+	}()
+	return work(w, i)
+}
+
 // For distributes work items [0,n) over jobs workers. Work is handed out
 // by an atomic cursor; work receives the worker index (so callers can
 // give each worker a private shard) and the item index. On failure the
 // pool drains and the error attributed to the lowest item index is
 // returned along with that index, keeping error messages stable across
-// schedules. jobs <= 1 degenerates to a plain loop.
+// schedules. A panic in work is recovered and returned as that item's
+// *PanicError. jobs <= 1 degenerates to a plain loop.
 //
 // Cancelling cx stops the pool promptly: no new item is claimed once the
 // context is done (items already claimed run to completion), and For
@@ -88,7 +124,7 @@ func ForTraced(cx context.Context, tr *obsv.Tracer, phase string, taskName func(
 				if err := cx.Err(); err != nil {
 					return -1, err
 				}
-				if err := work(0, i); err != nil {
+				if err := call(work, taskName, 0, i); err != nil {
 					return i, err
 				}
 			}
@@ -103,7 +139,7 @@ func ForTraced(cx context.Context, tr *obsv.Tracer, phase string, taskName func(
 				batch()
 				return -1, err
 			}
-			if err := work(0, i); err != nil {
+			if err := call(work, taskName, 0, i); err != nil {
 				batch()
 				return i, err
 			}
@@ -113,6 +149,13 @@ func ForTraced(cx context.Context, tr *obsv.Tracer, phase string, taskName func(
 		batch()
 		return -1, nil
 	}
+	return pool(cx, tr, phase, taskName, task, n, jobs, work)
+}
+
+// pool is ForTraced's worker-pool schedule for jobs > 1. It is a separate
+// function so that the variables its goroutines capture are not moved to
+// the heap on ForTraced's serial paths.
+func pool(cx context.Context, tr *obsv.Tracer, phase string, taskName func(item int) string, task func(w, i int, last time.Time) time.Time, n, jobs int, work func(worker, item int) error) (int, error) {
 	var (
 		cursor atomic.Int64
 		failed atomic.Bool
@@ -124,14 +167,15 @@ func ForTraced(cx context.Context, tr *obsv.Tracer, phase string, taskName func(
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			run := work // worker-local: the traced wrapper must not race across workers
+			// worker-local: the traced wrapper must not race across workers
+			run := func(w, i int) error { return call(work, taskName, w, i) }
 			if tr != nil {
 				t0 := time.Now()
 				last := t0
 				items := 0
 				defer func() { tr.Batch(w, phase, t0, time.Since(t0), items) }()
 				run = func(w, i int) error {
-					err := work(w, i)
+					err := call(work, taskName, w, i)
 					if err == nil {
 						last = task(w, i, last)
 						items++

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+
+	"gobolt/internal/obsv"
 )
 
 func TestForRunsEveryItem(t *testing.T) {
@@ -40,6 +42,49 @@ func TestForLowestErrorWins(t *testing.T) {
 		if idx != 7 {
 			t.Fatalf("jobs=%d: error attributed to item %d, want 7 (err: %v)", jobs, idx, err)
 		}
+	}
+}
+
+// TestForPanicBecomesError panics in one item and an error in a later
+// one: the pool must return the panic as the lowest-index error, carrying
+// the item, its name and the panic value, on every schedule, traced or
+// not.
+func TestForPanicBecomesError(t *testing.T) {
+	boom := errors.New("boom")
+	for _, jobs := range []int{1, 4} {
+		for _, tr := range []*obsv.Tracer{nil, obsv.New()} {
+			name := func(i int) string { return fmt.Sprintf("f%d", i) }
+			idx, err := ForTraced(context.Background(), tr, "p", name, 50, jobs, func(_, i int) error {
+				switch i {
+				case 5:
+					panic(boom)
+				case 20:
+					return errors.New("later")
+				}
+				return nil
+			})
+			var pe *PanicError
+			if !errors.As(err, &pe) || idx != 5 || pe.Item != 5 || pe.Name != "f5" || pe.Value != boom {
+				t.Fatalf("jobs=%d traced=%v: got (%d, %v), want item 5's panic", jobs, tr != nil, idx, err)
+			}
+			if len(pe.Stack) == 0 {
+				t.Fatalf("jobs=%d traced=%v: panic error carries no stack", jobs, tr != nil)
+			}
+		}
+	}
+}
+
+// TestForUntracedSerialAllocatesNothing pins the zero-alloc contract of
+// the untraced jobs=1 path, panic recovery included.
+func TestForUntracedSerialAllocatesNothing(t *testing.T) {
+	work := func(_, i int) error { return nil }
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := For(context.Background(), 64, 1, work); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("untraced serial For allocated %.1f times per run, want 0", allocs)
 	}
 }
 

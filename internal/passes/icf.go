@@ -1,8 +1,8 @@
 package passes
 
 import (
+	"bytes"
 	"fmt"
-	"strings"
 
 	"gobolt/internal/core"
 )
@@ -15,25 +15,26 @@ import (
 // external references symbolized (paper §4: ~3% size win over the
 // linker's pass on HHVM).
 //
-// ICF runs in two pipeline steps: key computation is sharded across the
-// worker pool (ICFHash, a FunctionPass — each function's congruence key
+// ICF runs in two pipeline steps: hashing is sharded across the worker
+// pool (ICFHash, a FunctionPass — each function's canonical encoding
 // depends only on that function), while the fold itself stays a short
 // sequential barrier (ICF.Run compares and mutates arbitrary function
 // pairs, so it cannot run per-function). Splitting the expensive half
 // out takes both ICF rounds off the whole-binary barrier list.
 
-// ICFHash computes each candidate function's congruence key ahead of
-// the fold. Schedule it (via ForEachFunction) immediately before the
-// matching ICF round.
+// ICFHash hashes each candidate function's canonical body encoding
+// (core.AppendCanonical) ahead of the fold. Schedule it (via
+// ForEachFunction) immediately before the matching ICF round.
 type ICFHash struct{ Round int }
 
 // Name implements core.FunctionPass.
 func (p ICFHash) Name() string { return fmt.Sprintf("icf-%d-hash", p.Round) }
 
-// RunOnFunction implements core.FunctionPass.
+// RunOnFunction implements core.FunctionPass. The encoding streams
+// through the worker's reusable scratch buffer.
 func (p ICFHash) RunOnFunction(fc *core.FuncCtx, fn *core.BinaryFunction) error {
 	if icfEligible(fn) {
-		fn.ICFKey = icfKey(fn)
+		fn.ICFHash, fc.Scratch = core.HashCanonical(fc.Scratch, fn)
 		fc.CountStat("icf-hashed", 1)
 	}
 	return nil
@@ -48,106 +49,66 @@ func icfEligible(fn *core.BinaryFunction) bool {
 	return !fn.HasLSDA
 }
 
-// ICF is the fold step: a sequential barrier that buckets the
-// precomputed keys and folds congruent functions.
+// ICF is the fold step: a sequential barrier that buckets functions by
+// their precomputed hash and folds congruent ones.
 type ICF struct{ Round int }
 
 // Name implements core.Pass.
 func (p ICF) Name() string { return fmt.Sprintf("icf-%d", p.Round) }
 
 // Run implements core.Pass. Functions are visited in the context's
-// address-sorted order, so the kept (canonical) member of every bucket
-// is deterministic regardless of how the keys were computed.
+// address-sorted order, so the kept (canonical) member of every
+// congruence class is deterministic regardless of how the hashes were
+// computed. A function folds only into a kept function whose canonical
+// encoding is byte-equal to its own, so a hash collision can never fold
+// distinct bodies.
 func (p ICF) Run(ctx *core.BinaryContext) error {
-	buckets := map[string]*core.BinaryFunction{}
+	buckets := make(map[uint64][]*core.BinaryFunction, len(ctx.Funcs))
+	var enc, keptEnc []byte
 	for _, fn := range ctx.Funcs {
 		if !icfEligible(fn) {
 			continue
 		}
-		key := fn.ICFKey
-		// Consume the cached key: bodies may change before the next
-		// round recomputes it. Compute on demand when ICF runs without
-		// a preceding ICFHash pass.
-		fn.ICFKey = ""
-		if key == "" {
-			key = icfKey(fn)
+		// Consume the cached hash: bodies may change before the next
+		// round recomputes it. Compute on demand when ICF runs without a
+		// preceding ICFHash pass (a genuine zero hash is just recomputed).
+		h := fn.ICFHash
+		fn.ICFHash = 0
+		if h == 0 {
+			h, enc = core.HashCanonical(enc, fn)
 		}
-		if kept, ok := buckets[key]; ok {
-			fn.FoldedInto = kept
-			kept.Aliases = append(kept.Aliases, fn.Name)
-			kept.ExecCount += fn.ExecCount
-			// Merge block profile so layout decisions see total heat.
-			for i, b := range fn.Blocks {
-				if i < len(kept.Blocks) {
-					kept.Blocks[i].ExecCount += b.ExecCount
-					for k := range b.Succs {
-						if k < len(kept.Blocks[i].Succs) {
-							kept.Blocks[i].Succs[k].Count += b.Succs[k].Count
-							kept.Blocks[i].Succs[k].Mispreds += b.Succs[k].Mispreds
-						}
+		var kept *core.BinaryFunction
+		if cands := buckets[h]; len(cands) > 0 {
+			enc = core.AppendCanonical(enc[:0], fn)
+			for _, c := range cands {
+				keptEnc = core.AppendCanonical(keptEnc[:0], c)
+				if bytes.Equal(enc, keptEnc) {
+					kept = c
+					break
+				}
+			}
+		}
+		if kept == nil {
+			buckets[h] = append(buckets[h], fn)
+			continue
+		}
+		fn.FoldedInto = kept
+		kept.Aliases = append(kept.Aliases, fn.Name)
+		kept.ExecCount += fn.ExecCount
+		// Merge block profile so layout decisions see total heat.
+		for i, b := range fn.Blocks {
+			if i < len(kept.Blocks) {
+				kept.Blocks[i].ExecCount += b.ExecCount
+				for k := range b.Succs {
+					if k < len(kept.Blocks[i].Succs) {
+						kept.Blocks[i].Succs[k].Count += b.Succs[k].Count
+						kept.Blocks[i].Succs[k].Mispreds += b.Succs[k].Mispreds
 					}
 				}
 			}
-			ctx.CountStat("icf-folded", 1)
-			ctx.CountStat("icf-bytes", int64(fn.Size))
-			continue
 		}
-		buckets[key] = fn
+		ctx.CountStat("icf-folded", 1)
+		ctx.CountStat("icf-bytes", int64(fn.Size))
 	}
 	return nil
-}
-
-// icfKey renders a function body to a canonical string: block boundaries,
-// instructions with intra-function targets as block indices, external
-// targets as symbols, memory targets as absolute addresses (data does not
-// move), and jump tables as target-index sequences.
-func icfKey(fn *core.BinaryFunction) string {
-	blockIdx := map[*core.BasicBlock]int{}
-	for i, b := range fn.Blocks {
-		blockIdx[b] = i
-	}
-	// The function's own jump tables are position-dependent data; the
-	// *structure* (entry target blocks) is compared instead, so two
-	// clones with distinct table addresses still fold — the capability
-	// linkers lack (§4).
-	ownJT := map[uint64]bool{}
-	for _, jt := range fn.JTs {
-		ownJT[jt.Addr] = true
-	}
-	var sb strings.Builder
-	for _, b := range fn.Blocks {
-		fmt.Fprintf(&sb, "[%d]", blockIdx[b])
-		for i := range b.Insts {
-			in := &b.Insts[i]
-			inst := in.I
-			// Normalize branch targets out of the byte-level fields.
-			inst.TargetAddr = 0
-			inst.Target = -1
-			fmt.Fprintf(&sb, "%d/%d/%d/%d/%d;", inst.Op, inst.R1, inst.R2, inst.Cc, inst.Imm)
-			if ownJT[in.MemTarget] {
-				sb.WriteString("Mjt;")
-			} else if in.MemTarget != 0 {
-				fmt.Fprintf(&sb, "M%x;", in.MemTarget)
-			} else if in.I.HasMem() {
-				m := in.I.M
-				fmt.Fprintf(&sb, "m%d/%d/%d/%d;", m.Base, m.Index, m.Scale, m.Disp)
-			}
-			if in.TargetSym != "" {
-				fmt.Fprintf(&sb, "S%s;", in.TargetSym)
-			}
-			if in.JT != nil {
-				fmt.Fprintf(&sb, "JT%v:", in.JT.PIC)
-				for _, t := range in.JT.Targets {
-					fmt.Fprintf(&sb, "%d,", blockIdx[t])
-				}
-				sb.WriteByte(';')
-			}
-		}
-		sb.WriteString("->")
-		for _, e := range b.Succs {
-			fmt.Fprintf(&sb, "%d,", blockIdx[e.To])
-		}
-		sb.WriteByte('|')
-	}
-	return sb.String()
 }
