@@ -46,6 +46,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"gobolt/internal/core"
@@ -162,7 +163,7 @@ func (s *Session) LoadProfile(cx context.Context, sources ...ProfileSource) erro
 		return fmt.Errorf("bolt: load profile (%s): %w", src.Describe(), err)
 	}
 	// Trace-only phase span: profile parsing happens before the binary
-	// context exists, so it has no PassTiming row, but it still shows up
+	// context exists, so it has no Phases row, but it still shows up
 	// on the trace timeline.
 	s.opts.Trace.Phase("profile:load", loadStart, time.Since(loadStart), 1)
 	s.fd, s.profileDesc, s.profiled = fd, src.Describe(), true
@@ -410,9 +411,7 @@ func (s *Session) buildReport(dynoBefore, dynoAfter core.DynoStats) *Report {
 		DynoBefore:   dynoBefore,
 		DynoAfter:    dynoAfter,
 		Stats:        make(map[string]int64, len(s.bctx.Stats)),
-		LoadTimings:  append([]core.PassTiming(nil), s.bctx.LoadTimings...),
-		PassTimings:  append([]core.PassTiming(nil), s.bctx.PassTimings...),
-		EmitTimings:  append([]core.PassTiming(nil), s.bctx.EmitTimings...),
+		Phases:       slices.Clone(s.bctx.Phases),
 	}
 	for k, v := range s.bctx.Stats {
 		rep.Stats[k] = v

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -161,27 +162,27 @@ func TestPipelineDeterministicAcrossJobs(t *testing.T) {
 			t.Errorf("jobs=%d: stats diverge:\n  jobs=1: %v\n  jobs=%d: %v",
 				jobs, serialRep.Stats, jobs, rep.Stats)
 		}
-		if len(rep.PassTimings) == 0 {
+		if !slices.ContainsFunc(rep.Phases, func(pt core.PassTiming) bool { return pt.Group == core.GroupPass }) {
 			t.Errorf("jobs=%d: no pass timings recorded", jobs)
 		}
 		// Loader and emitter phases must be instrumented and scheduled
 		// on the pool, as must the profile-application and -inference
 		// stages and the overlapped discovery scans.
-		assertParallelPhase(t, jobs, rep.LoadTimings, "load:discover")
-		assertParallelPhase(t, jobs, rep.LoadTimings, "load:disasm+cfg")
-		assertParallelPhase(t, jobs, rep.LoadTimings, "profile:apply")
-		assertParallelPhase(t, jobs, rep.LoadTimings, "profile:infer")
-		assertParallelPhase(t, jobs, rep.EmitTimings, "emit:functions")
+		assertParallelPhase(t, jobs, rep.Phases, "load:discover")
+		assertParallelPhase(t, jobs, rep.Phases, "load:disasm+cfg")
+		assertParallelPhase(t, jobs, rep.Phases, "profile:apply")
+		assertParallelPhase(t, jobs, rep.Phases, "profile:infer")
+		assertParallelPhase(t, jobs, rep.Phases, "emit:functions")
 		// The emitter's former serial back half is now three phases:
 		// address assignment stays a serial prefix scan, while patching
 		// and metadata rebuild fan out.
-		assertSerialPhase(t, jobs, rep.EmitTimings, "emit:layout")
-		assertParallelPhase(t, jobs, rep.EmitTimings, "emit:patch")
-		assertParallelPhase(t, jobs, rep.EmitTimings, "emit:metadata")
+		assertSerialPhase(t, jobs, rep.Phases, "emit:layout")
+		assertParallelPhase(t, jobs, rep.Phases, "emit:patch")
+		assertParallelPhase(t, jobs, rep.Phases, "emit:metadata")
 		// ICF's hashing runs as a parallel function pass; only the fold
 		// remains a barrier.
-		assertParallelPhase(t, jobs, rep.PassTimings, "icf-1-hash")
-		assertParallelPhase(t, jobs, rep.PassTimings, "icf-2-hash")
+		assertParallelPhase(t, jobs, rep.Phases, "icf-1-hash")
+		assertParallelPhase(t, jobs, rep.Phases, "icf-2-hash")
 	}
 
 	// With minimum-cost-flow inference forced on for the LBR profile,

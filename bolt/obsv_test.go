@@ -91,7 +91,7 @@ func TestTraceDeterministicAcrossJobs(t *testing.T) {
 
 // TestOccupancyConsistentWithTimings pins the derived occupancy stats to
 // the -time-passes instrumentation they sit next to: a pooled phase's
-// occupancy wall is exactly the wall the PassTiming rows recorded (the
+// occupancy wall is exactly the wall the Phases rows recorded (the
 // phase span and the timing row are fed from the same measurement), and
 // busy time never exceeds wall × jobs.
 func TestOccupancyConsistentWithTimings(t *testing.T) {
@@ -108,7 +108,7 @@ func TestOccupancyConsistentWithTimings(t *testing.T) {
 	// Occupancy folds repeated phase names (icf, peepholes run twice), so
 	// compare against the summed timing walls per name.
 	wallByName := map[string]int64{}
-	for _, pt := range rep.Timings() {
+	for _, pt := range rep.Phases {
 		wallByName[pt.Name] += pt.Wall.Nanoseconds()
 	}
 	matched := 0

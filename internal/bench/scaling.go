@@ -105,22 +105,24 @@ func Scaling(scale Scale, jobsList []int) ([]benchfmt.Result, string, error) {
 			}
 		}
 		points = append(points, ScalingPoint{
-			Jobs: j, Wall: wall, Amdahl: core.Amdahl(rep.Timings()), Report: rep,
+			Jobs: j, Wall: wall, Amdahl: core.Amdahl(rep.Phases), Report: rep,
 		})
 	}
 
 	var results []benchfmt.Result
 	for _, p := range points {
-		groups := []struct {
-			phase   string
-			timings []core.PassTiming
-		}{
-			{"load", p.Report.LoadTimings},
-			{"passes", p.Report.PassTimings},
-			{"emit", p.Report.EmitTimings},
-		}
-		for _, g := range groups {
-			a := core.Amdahl(g.timings)
+		for _, g := range []struct{ phase, group string }{
+			{"load", core.GroupLoad},
+			{"passes", core.GroupPass},
+			{"emit", core.GroupEmit},
+		} {
+			var rows []core.PassTiming
+			for _, t := range p.Report.Phases {
+				if t.Group == g.group {
+					rows = append(rows, t)
+				}
+			}
+			a := core.Amdahl(rows)
 			results = append(results, scalingResult(spec.Name, g.phase, p.Jobs, a.Total, a.SerialFraction))
 		}
 		results = append(results, scalingResult(spec.Name, "pipeline", p.Jobs, p.Wall, p.Amdahl.SerialFraction))

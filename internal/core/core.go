@@ -482,18 +482,13 @@ type BinaryContext struct {
 	Stats       map[string]int64
 	metricsOnce sync.Once
 
-	// PassTimings is the instrumentation record of the last PassManager
-	// run (one entry per pass, pipeline order).
-	PassTimings []PassTiming
-
-	// LoadTimings records the loader phases (serial discovery, parallel
-	// disassembly+CFG) set by NewContext, plus the profile:infer stage
-	// appended by ApplyProfile. EmitTimings records the emission phases
-	// (parallel per-function code generation, serial layout+patch), set
-	// by Rewrite. The bolt package's Report.WriteTimings renders all
-	// three timing groups as one report.
-	LoadTimings []PassTiming
-	EmitTimings []PassTiming
+	// Phases records every pipeline phase in execution order — the
+	// loader stages set by NewContext and ApplyProfile, each pass run
+	// by a PassManager, and the emission stages of Rewrite — with its
+	// wall time, scheduling and stat deltas. Every timing view (the
+	// -time-passes table, RunReport phases, Amdahl summaries) derives
+	// from it.
+	Phases []PassTiming
 
 	// FlowAccBefore/FlowAccAfter are the count-weighted flow-equation
 	// consistency of the profiled CFGs before and after the

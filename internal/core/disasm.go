@@ -6,7 +6,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"gobolt/internal/cfi"
 	"gobolt/internal/dbg"
@@ -38,7 +37,6 @@ func NewContext(cx context.Context, f *elfx.File, opts Options) (*BinaryContext,
 	if err := cx.Err(); err != nil {
 		return nil, err
 	}
-	discoverStart := time.Now()
 	ctx := &BinaryContext{
 		File:        f,
 		Opts:        opts,
@@ -52,6 +50,7 @@ func NewContext(cx context.Context, f *elfx.File, opts Options) (*BinaryContext,
 	// ctx.Stats aliases the registry's live counter map: the registry is
 	// the source of truth, the map is the compatibility view.
 	ctx.Stats = ctx.Metrics.Counters()
+	discoverPh := ctx.beginPhase(GroupLoad, "load:discover")
 
 	// Discovery runs as four independent scans overlapped on the worker
 	// pool — each writes a disjoint set of context fields (textRelocs;
@@ -155,18 +154,13 @@ func NewContext(cx context.Context, f *elfx.File, opts Options) (*BinaryContext,
 		return nil, err
 	}
 	ctx.HasRelocs = len(f.Relas) > 0
-	discoverWall := time.Since(discoverStart)
-	ctx.Opts.Trace.Phase("load:discover", discoverStart, discoverWall, discoverJobs)
-	ctx.LoadTimings = append(ctx.LoadTimings, PassTiming{
-		Name: "load:discover", Wall: discoverWall,
-		Parallel: discoverJobs > 1, Jobs: discoverJobs,
-	})
+	discoverPh.end(0, discoverJobs)
 
 	// Parallel per-function phase. The shared maps (byAddr, ByName,
 	// PLTStubs, textRelocs) and the address-sorted function list are
 	// frozen above; from here every worker touches only the function it
 	// was handed.
-	loadStart := time.Now()
+	loadPh := ctx.beginPhase(GroupLoad, "load:disasm+cfg")
 	jobs := effectiveJobs(opts.Jobs, len(ctx.Funcs))
 	scratch := make([]loaderScratch, jobs)
 	if _, err := ctx.forPhase(cx, "load:disasm+cfg",
@@ -180,13 +174,7 @@ func NewContext(cx context.Context, f *elfx.File, opts Options) (*BinaryContext,
 	for w := range scratch {
 		ctx.mergeStats(scratch[w].stats)
 	}
-	loadWall := time.Since(loadStart)
-	ctx.Opts.Trace.Phase("load:disasm+cfg", loadStart, loadWall, jobs)
-	ctx.LoadTimings = append(ctx.LoadTimings, PassTiming{
-		Name: "load:disasm+cfg", Wall: loadWall,
-		Funcs: len(ctx.Funcs), Parallel: jobs > 1, Jobs: jobs,
-		StatDelta: statDelta(nil, ctx.statsSnapshot()),
-	})
+	loadPh.end(len(ctx.Funcs), jobs)
 	return ctx, nil
 }
 

@@ -11,21 +11,13 @@ import (
 // default) and the pool never exceeds n workers.
 func effectiveJobs(jobs, n int) int { return par.Jobs(jobs, n) }
 
-// parallelFor distributes work items [0,n) over jobs workers; it is the
-// engine-local name for par.For, the one fan-out primitive shared by the
-// pipeline's parallel phases: the loader's per-function disassembly+CFG
-// stage, the PassManager's function passes, and the emitter's
-// per-function code generation. Cancelling cx drains the pool promptly
-// (no new item is claimed) and returns (-1, cx.Err()). See par.For for
-// the scheduling and error-attribution contract.
-func parallelFor(cx context.Context, n, jobs int, work func(worker, item int) error) (int, error) {
-	return par.For(cx, n, jobs, work)
-}
-
-// forPhase is parallelFor with span tracing: when the context carries a
-// tracer (Opts.Trace) each worker records a batch span named after the
-// phase plus one task span per item, named by taskName (typically the
-// function being processed). With tracing off it is exactly parallelFor.
+// forPhase distributes work items [0,n) over jobs workers via
+// par.ForTraced, the one fan-out primitive shared by the pipeline's
+// parallel phases. When the context carries a tracer (Opts.Trace) each
+// worker records a batch span named after the phase plus one task span
+// per item, named by taskName (typically the function being processed).
+// Cancelling cx drains the pool promptly and returns (-1, cx.Err()). See
+// par.For for the scheduling and error-attribution contract.
 func (ctx *BinaryContext) forPhase(cx context.Context, phase string, taskName func(item int) string, n, jobs int, work func(worker, item int) error) (int, error) {
 	return par.ForTraced(cx, ctx.Opts.Trace, phase, taskName, n, jobs, work)
 }

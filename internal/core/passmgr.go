@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"runtime"
 	"sort"
@@ -74,15 +75,53 @@ func runSerialFunctionPass(ctx *BinaryContext, fp FunctionPass, funcs []*BinaryF
 // ForEachFunction wraps a FunctionPass for use in a []Pass pipeline.
 func ForEachFunction(fp FunctionPass) Pass { return funcPassAdapter{fp} }
 
-// PassTiming records one pass execution for the -time-passes report.
+// PassTiming records one pipeline phase — a loader stage, a pass, or an
+// emission stage — for the -time-passes report.
 type PassTiming struct {
 	Name     string
+	Group    string // GroupLoad, GroupPass or GroupEmit
 	Wall     time.Duration
 	Funcs    int  // functions visited (0 for whole-binary passes)
 	Parallel bool // scheduled on the worker pool
 	Jobs     int  // workers actually used
-	// StatDelta holds the counters this pass added to ctx.Stats.
+	// StatDelta holds the counters this phase added to ctx.Stats.
 	StatDelta map[string]int64
+}
+
+// Phase groups: the pipeline stage a PassTiming row belongs to.
+const (
+	GroupLoad = "load" // loader and profile application
+	GroupPass = "pass" // optimization passes
+	GroupEmit = "emit" // rewriting
+)
+
+// openPhase is one measurement in progress, started by beginPhase and
+// closed by end.
+type openPhase struct {
+	ctx         *BinaryContext
+	group, name string
+	before      map[string]int64
+	start       time.Time
+}
+
+// beginPhase starts measuring the named phase: its wall clock and the
+// counters it adds.
+func (ctx *BinaryContext) beginPhase(group, name string) openPhase {
+	return openPhase{ctx: ctx, group: group, name: name, before: ctx.statsSnapshot(), start: time.Now()}
+}
+
+// end closes the phase, which visited funcs functions on jobs workers.
+// The one measurement feeds both the trace's phase span and the row
+// appended to ctx.Phases.
+func (ph openPhase) end(funcs, jobs int) {
+	wall := time.Since(ph.start)
+	ctx := ph.ctx
+	ctx.Opts.Trace.Phase(ph.name, ph.start, wall, jobs)
+	ctx.Phases = append(ctx.Phases, PassTiming{
+		Name: ph.name, Group: ph.group, Wall: wall,
+		Funcs: funcs, Parallel: jobs > 1, Jobs: jobs,
+		StatDelta: statDelta(ph.before, ctx.statsSnapshot()),
+	})
 }
 
 // PassManager schedules an optimization pipeline over a BinaryContext.
@@ -96,9 +135,6 @@ type PassTiming struct {
 type PassManager struct {
 	// Jobs bounds the worker pool for function passes (<= 1 = serial).
 	Jobs int
-	// Timings accumulates per-pass instrumentation (always collected; it
-	// costs one clock read and a small map diff per pass).
-	Timings []PassTiming
 }
 
 // NewPassManager returns a manager with the given parallelism; jobs <= 0
@@ -110,11 +146,11 @@ func NewPassManager(jobs int) *PassManager {
 	return &PassManager{Jobs: jobs}
 }
 
-// Run executes the pipeline in order, recording per-pass wall time and
-// stat deltas. The error (if any) is wrapped with the failing pass name.
-// Cancelling cx stops the pipeline at the next pass boundary — and, for
-// function passes in flight, at the next work-item claim — returning
-// cx.Err() unwrapped.
+// Run executes the pipeline in order, recording one GroupPass row per
+// pass in ctx.Phases. The error (if any) is wrapped with the failing
+// pass name. Cancelling cx stops the pipeline at the next pass boundary
+// — and, for function passes in flight, at the next work-item claim —
+// returning cx.Err() unwrapped.
 func (pm *PassManager) Run(cx context.Context, ctx *BinaryContext, passes []Pass) error {
 	if cx == nil {
 		cx = context.Background()
@@ -123,21 +159,15 @@ func (pm *PassManager) Run(cx context.Context, ctx *BinaryContext, passes []Pass
 		if err := cx.Err(); err != nil {
 			return err
 		}
-		before := ctx.statsSnapshot()
-		start := time.Now()
-		timing := PassTiming{Name: p.Name(), Jobs: 1}
+		ph := ctx.beginPhase(GroupPass, p.Name())
+		funcs, jobs := 0, 1
 		var err error
 		if a, ok := p.(funcPassAdapter); ok {
-			timing.Funcs, timing.Jobs, err = pm.runFunctionPass(cx, ctx, a.fp)
-			timing.Parallel = timing.Jobs > 1
+			funcs, jobs, err = pm.runFunctionPass(cx, ctx, a.fp)
 		} else {
 			err = p.Run(ctx)
 		}
-		timing.Wall = time.Since(start)
-		ctx.Opts.Trace.Phase(p.Name(), start, timing.Wall, timing.Jobs)
-		timing.StatDelta = statDelta(before, ctx.statsSnapshot())
-		pm.Timings = append(pm.Timings, timing)
-		ctx.PassTimings = pm.Timings
+		ph.end(funcs, jobs)
 		if err != nil {
 			if cx.Err() != nil && err == cx.Err() {
 				// Cancellation is not the pass's failure; surface it bare
@@ -227,15 +257,11 @@ func Amdahl(timings []PassTiming) AmdahlSummary {
 
 // statDelta returns after-before for every changed counter.
 func statDelta(before, after map[string]int64) map[string]int64 {
-	var out map[string]int64
+	out := make(map[string]int64, len(after))
 	for k, v := range after {
-		if d := v - before[k]; d != 0 {
-			if out == nil {
-				out = map[string]int64{}
-			}
-			out[k] = d
-		}
+		out[k] = v - before[k]
 	}
+	maps.DeleteFunc(out, func(_ string, d int64) bool { return d == 0 })
 	return out
 }
 

@@ -54,10 +54,10 @@ func TestPassManagerShardsMergeIdentically(t *testing.T) {
 				t.Errorf("jobs=%d: %s visited %d times", jobs, fn.Name, fn.ExecCount)
 			}
 		}
-		if len(pm.Timings) != 1 || pm.Timings[0].Name != "touch" || pm.Timings[0].Funcs != 37 {
-			t.Errorf("jobs=%d: bad timing record %+v", jobs, pm.Timings)
+		if len(ctx.Phases) != 1 || ctx.Phases[0].Name != "touch" || ctx.Phases[0].Group != GroupPass || ctx.Phases[0].Funcs != 37 {
+			t.Errorf("jobs=%d: bad timing record %+v", jobs, ctx.Phases)
 		}
-		if d := pm.Timings[0].StatDelta["touched"]; d != 37 {
+		if d := ctx.Phases[0].StatDelta["touched"]; d != 37 {
 			t.Errorf("jobs=%d: stat delta touched=%d, want 37", jobs, d)
 		}
 	}
@@ -125,7 +125,7 @@ func TestWriteTimingsReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	WriteTimings(&sb, pm.Timings)
+	WriteTimings(&sb, ctx.Phases)
 	out := sb.String()
 	for _, want := range []string{"Pass execution timing report", "touch", "funcs", "touched=+5"} {
 		if !strings.Contains(out, want) {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"time"
 
 	"gobolt/internal/isa"
 	"gobolt/internal/profile"
@@ -47,8 +46,7 @@ func (ctx *BinaryContext) ApplyProfile(cx context.Context, fd *profile.Fdata) er
 	if ctx.Opts.StaleMatching && len(fd.Shapes) > 0 {
 		sm = &staleMatcher{ctx: ctx, shapes: fd.Shapes, cache: map[*BinaryFunction]*staleFunc{}}
 	}
-	start := time.Now()
-	before := ctx.statsSnapshot()
+	ph := ctx.beginPhase(GroupLoad, "profile:apply")
 	var nfuncs, jobs int
 	var err error
 	if fd.LBR {
@@ -56,13 +54,7 @@ func (ctx *BinaryContext) ApplyProfile(cx context.Context, fd *profile.Fdata) er
 	} else {
 		nfuncs, jobs, err = ctx.applySamples(cx, fd, sm)
 	}
-	applyWall := time.Since(start)
-	ctx.Opts.Trace.Phase("profile:apply", start, applyWall, jobs)
-	ctx.LoadTimings = append(ctx.LoadTimings, PassTiming{
-		Name: "profile:apply", Wall: applyWall,
-		Funcs: nfuncs, Parallel: jobs > 1, Jobs: jobs,
-		StatDelta: statDelta(before, ctx.statsSnapshot()),
-	})
+	ph.end(nfuncs, jobs)
 	if err != nil {
 		return err
 	}
@@ -73,7 +65,7 @@ func (ctx *BinaryContext) ApplyProfile(cx context.Context, fd *profile.Fdata) er
 // record application: classic flow repair and/or minimum-cost-flow
 // inference, fanned out over the worker pool (each function's counts
 // are function-local state, so the stage parallelizes like a function
-// pass). Appends the "profile:infer" timing to LoadTimings and fills
+// pass). Records the "profile:infer" phase and fills
 // ctx.FlowAccBefore/FlowAccAfter/InferredFuncs.
 func (ctx *BinaryContext) inferStage(cx context.Context, lbr bool) error {
 	var funcs []*BinaryFunction
@@ -85,7 +77,7 @@ func (ctx *BinaryContext) inferStage(cx context.Context, lbr bool) error {
 	useMCF := ctx.Opts.InferFlow == InferAlways ||
 		(!lbr && ctx.Opts.InferFlow != InferNever)
 
-	start := time.Now()
+	ph := ctx.beginPhase(GroupLoad, "profile:infer")
 	jobs := effectiveJobs(ctx.Opts.Jobs, len(funcs))
 	// Per-function accuracy terms land in index-addressed slots and fold
 	// serially below, so the aggregate floats are bit-identical for
@@ -147,12 +139,7 @@ func (ctx *BinaryContext) inferStage(cx context.Context, lbr bool) error {
 		ctx.InferredFuncs = len(funcs)
 		ctx.CountStat("profile-inferred-funcs", int64(len(funcs)))
 	}
-	inferWall := time.Since(start)
-	ctx.Opts.Trace.Phase("profile:infer", start, inferWall, jobs)
-	ctx.LoadTimings = append(ctx.LoadTimings, PassTiming{
-		Name: "profile:infer", Wall: inferWall,
-		Funcs: len(funcs), Parallel: jobs > 1, Jobs: jobs,
-	})
+	ph.end(len(funcs), jobs)
 	return nil
 }
 

@@ -7,7 +7,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"time"
 
 	"gobolt/internal/bat"
 	"gobolt/internal/cfi"
@@ -48,7 +47,6 @@ func (ctx *BinaryContext) Rewrite(cx context.Context) (*RewriteResult, error) {
 	}
 	f := ctx.File
 	res := &RewriteResult{}
-	ctx.EmitTimings = nil
 
 	// Ordered list of functions to move.
 	moved := ctx.orderedSimpleFuncs()
@@ -66,7 +64,7 @@ func (ctx *BinaryContext) Rewrite(cx context.Context) (*RewriteResult, error) {
 	// lists — reused across the worker's whole share of functions), and
 	// results land at a fixed slice index, so the layout below — and
 	// therefore the output bytes — are identical for any worker count.
-	emitStart := time.Now()
+	emitPh := ctx.beginPhase(GroupEmit, "emit:functions")
 	emits := make([]*emitted, len(moved))
 	jobs := effectiveJobs(ctx.Opts.Jobs, len(moved))
 	escratch := make([]emitScratch, jobs)
@@ -82,18 +80,13 @@ func (ctx *BinaryContext) Rewrite(cx context.Context) (*RewriteResult, error) {
 		}); err != nil {
 		return nil, err
 	}
-	emitWall := time.Since(emitStart)
-	ctx.Opts.Trace.Phase("emit:functions", emitStart, emitWall, jobs)
-	ctx.EmitTimings = append(ctx.EmitTimings, PassTiming{
-		Name: "emit:functions", Wall: emitWall,
-		Funcs: len(moved), Parallel: jobs > 1, Jobs: jobs,
-	})
+	emitPh.end(len(moved), jobs)
 	// ---- emit:layout ----
 	// Serial address assignment: a prefix-sum over the emitted fragment
 	// sizes. Inherently sequential (each function's address depends on
 	// every predecessor's aligned size) but linear and branch-free, so it
 	// is a sliver of the former monolithic layout+patch region.
-	layoutStart := time.Now()
+	layoutPh := ctx.beginPhase(GroupEmit, "emit:layout")
 
 	// New section layout after the last alloc section.
 	align := func(v, a uint64) uint64 { return (v + a - 1) &^ (a - 1) }
@@ -138,12 +131,7 @@ func (ctx *BinaryContext) Rewrite(cx context.Context) (*RewriteResult, error) {
 	for _, e := range emits {
 		emitOf[e.fn.ordIdx] = e
 	}
-	layoutWall := time.Since(layoutStart)
-	ctx.Opts.Trace.Phase("emit:layout", layoutStart, layoutWall, 1)
-	ctx.EmitTimings = append(ctx.EmitTimings, PassTiming{
-		Name: "emit:layout", Wall: layoutWall,
-		Funcs: len(emits), Jobs: 1,
-	})
+	layoutPh.end(len(emits), 1)
 
 	// Symbol resolution for emitted relocations.
 	blockAddr := func(fn *BinaryFunction, idx int, e *emitted) (uint64, bool) {
@@ -208,7 +196,7 @@ func (ctx *BinaryContext) Rewrite(cx context.Context) (*RewriteResult, error) {
 	// sections, so both the patching and the section copy fan out over
 	// the worker pool; only the input-section rela patching and jump
 	// table rewrite (shared section data) stay serial.
-	patchStart := time.Now()
+	patchPh := ctx.beginPhase(GroupEmit, "emit:patch")
 	patch32 := func(code []byte, off uint32, v uint32) {
 		binary.LittleEndian.PutUint32(code[off:], v)
 	}
@@ -422,12 +410,7 @@ func (ctx *BinaryContext) Rewrite(cx context.Context) (*RewriteResult, error) {
 			Addr:  coldBase, Data: coldData, Addralign: 16,
 		})
 	}
-	patchWall := time.Since(patchStart)
-	ctx.Opts.Trace.Phase("emit:patch", patchStart, patchWall, jobs)
-	ctx.EmitTimings = append(ctx.EmitTimings, PassTiming{
-		Name: "emit:patch", Wall: patchWall,
-		Funcs: len(emits), Parallel: jobs > 1, Jobs: jobs,
-	})
+	patchPh.end(len(emits), jobs)
 
 	// ---- emit:metadata ----
 	// BAT, exception tables, line table, and symbols. Per-function blobs
@@ -435,7 +418,7 @@ func (ctx *BinaryContext) Rewrite(cx context.Context) (*RewriteResult, error) {
 	// parallel into index-addressed slots; the serial tail only
 	// concatenates them in layout order, so section bytes match a fully
 	// serial rebuild.
-	metaStart := time.Now()
+	metaPh := ctx.beginPhase(GroupEmit, "emit:metadata")
 
 	// BOLT Address Translation table (§7.3 continuous profiling): one
 	// range per emitted fragment, anchoring every surviving instruction's
@@ -662,12 +645,7 @@ func (ctx *BinaryContext) Rewrite(cx context.Context) (*RewriteResult, error) {
 	if v, ok := finalFuncAddr("_start"); ok {
 		out.Entry = v
 	}
-	metaWall := time.Since(metaStart)
-	ctx.Opts.Trace.Phase("emit:metadata", metaStart, metaWall, jobs)
-	ctx.EmitTimings = append(ctx.EmitTimings, PassTiming{
-		Name: "emit:metadata", Wall: metaWall,
-		Funcs: len(emits), Parallel: jobs > 1, Jobs: jobs,
-	})
+	metaPh.end(len(emits), jobs)
 	res.File = out
 	return res, nil
 }

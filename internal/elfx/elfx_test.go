@@ -2,6 +2,8 @@ package elfx
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -187,5 +189,47 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadRejectsHostileSectionHeaders mutates one section header field
+// of a valid image at a time; Read must return an error, not panic.
+func TestReadRejectsHostileSectionHeaders(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(shdr func(typ uint32) []byte)
+	}{
+		{"symtab-link-out-of-range", func(shdr func(uint32) []byte) {
+			binary.LittleEndian.PutUint32(shdr(SHTSymtab)[40:], 0xFFFF)
+		}},
+		{"offset-plus-size-wraps", func(shdr func(uint32) []byte) {
+			h := shdr(SHTProgbits)
+			binary.LittleEndian.PutUint64(h[24:], math.MaxUint64)
+			binary.LittleEndian.PutUint64(h[32:], 2)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data, err := sampleFile().Bytes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			shoff := binary.LittleEndian.Uint64(data[40:])
+			shnum := uint64(binary.LittleEndian.Uint16(data[60:]))
+			// shdr returns the first section header of the given type.
+			shdr := func(typ uint32) []byte {
+				for i := uint64(1); i < shnum; i++ {
+					h := data[shoff+i*shdrSize : shoff+(i+1)*shdrSize]
+					if binary.LittleEndian.Uint32(h[4:]) == typ {
+						return h
+					}
+				}
+				t.Fatalf("no section header of type %d", typ)
+				return nil
+			}
+			tc.mutate(shdr)
+			if _, err := Read(data); err == nil {
+				t.Fatal("Read accepted a hostile section header")
+			}
+		})
 	}
 }

@@ -74,7 +74,9 @@ func Read(data []byte) (*File, error) {
 		names[i] = strAt(shstr, h.nameOff)
 		var payload []byte
 		if h.typ != SHTNobits {
-			if h.off+h.size > uint64(len(data)) {
+			// Compare against the remaining length so a huge offset
+			// cannot wrap the sum back into range.
+			if h.off > uint64(len(data)) || h.size > uint64(len(data))-h.off {
 				return nil, fmt.Errorf("elfx: section %s out of range", names[i])
 			}
 			payload = append([]byte(nil), data[h.off:h.off+h.size]...)
@@ -101,6 +103,9 @@ func Read(data []byte) (*File, error) {
 	for i := uint64(1); i < shnum; i++ {
 		if hdrs[i].typ != SHTSymtab {
 			continue
+		}
+		if uint64(hdrs[i].link) >= shnum {
+			return nil, fmt.Errorf("elfx: symtab %s links to section %d of %d", names[i], hdrs[i].link, shnum)
 		}
 		strtab := hdrs[hdrs[i].link]
 		n := hdrs[i].size / symSize

@@ -31,12 +31,18 @@ func TestParallelPipelineSemantics(t *testing.T) {
 	}
 	// Every pipeline pass appears in the instrumentation, in order.
 	pipeline := BuildPipeline(opts)
-	if len(ctx.PassTimings) != len(pipeline) {
-		t.Fatalf("timings cover %d passes, pipeline has %d", len(ctx.PassTimings), len(pipeline))
+	var passRows []core.PassTiming
+	for _, pt := range ctx.Phases {
+		if pt.Group == core.GroupPass {
+			passRows = append(passRows, pt)
+		}
+	}
+	if len(passRows) != len(pipeline) {
+		t.Fatalf("timings cover %d passes, pipeline has %d", len(passRows), len(pipeline))
 	}
 	for i, p := range pipeline {
-		if ctx.PassTimings[i].Name != p.Name() {
-			t.Errorf("timing %d: got pass %q, want %q", i, ctx.PassTimings[i].Name, p.Name())
+		if passRows[i].Name != p.Name() {
+			t.Errorf("timing %d: got pass %q, want %q", i, passRows[i].Name, p.Name())
 		}
 	}
 }
