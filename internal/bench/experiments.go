@@ -4,10 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"reflect"
-	"runtime"
 	"strings"
-	"time"
 
 	"gobolt/bolt"
 	"gobolt/internal/cc"
@@ -515,81 +512,6 @@ func ICF(scale Scale) (*ICFResult, string, error) {
 		res.LinkerFolded, res.BoltFolded, res.BoltBytes,
 		100*float64(res.BoltBytes)/float64(res.TextSize))
 	return res, report, nil
-}
-
-// PipelineScaling measures end-to-end pipeline wall time — loader
-// (discovery, disassembly+CFG), optimization passes, and emission
-// (code generation, layout+patch) — at jobs=1 versus jobs=N on a bundled
-// workload, prints both full -time-passes reports, and verifies the two
-// runs produced identical statistics and byte-identical binaries (the
-// race-instrumented twin of this check lives in the test suite).
-func PipelineScaling(scale Scale, jobs int) (string, error) {
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	spec := scale.apply(workload.Clang())
-	mode := perf.DefaultMode()
-	f, _, err := Build(spec, CfgBaseline, mode)
-	if err != nil {
-		return "", err
-	}
-	fd, _, err := perf.RecordFile(f, mode, 0)
-	if err != nil {
-		return "", err
-	}
-
-	run := func(j int) (*bolt.Report, []byte, time.Duration, error) {
-		opts := boltOptions()
-		opts.Jobs = j
-		start := time.Now()
-		sess, err := bolt.OpenELF(f, bolt.WithOptions(opts))
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		cx := context.Background()
-		if err := sess.LoadProfile(cx, bolt.Fdata(fd)); err != nil {
-			return nil, nil, 0, err
-		}
-		rep, err := sess.Optimize(cx)
-		d := time.Since(start)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		raw, err := sess.Output().Bytes()
-		return rep, raw, d, err
-	}
-
-	rep1, raw1, d1, err := run(1)
-	if err != nil {
-		return "", err
-	}
-	repN, rawN, dN, err := run(jobs)
-	if err != nil {
-		return "", err
-	}
-	if !reflect.DeepEqual(rep1.Stats, repN.Stats) {
-		return "", fmt.Errorf("bench: stats diverge across worker counts:\n  jobs=1: %v\n  jobs=%d: %v",
-			rep1.Stats, jobs, repN.Stats)
-	}
-	if !bytes.Equal(raw1, rawN) {
-		return "", fmt.Errorf("bench: emitted binaries differ across worker counts (%d vs %d bytes)",
-			len(raw1), len(rawN))
-	}
-
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Pipeline scaling on %s (%d simple functions, GOMAXPROCS=%d)\n",
-		spec.Name, rep1.SimpleFuncs, runtime.GOMAXPROCS(0))
-	fmt.Fprintf(&sb, "\n-- jobs=1 --\n")
-	rep1.WriteTimings(&sb)
-	fmt.Fprintf(&sb, "\n-- jobs=%d --\n", jobs)
-	repN.WriteTimings(&sb)
-	speedup := float64(d1) / float64(dN)
-	fmt.Fprintf(&sb, "\npipeline wall time (load+passes+emit): %v (jobs=1) -> %v (jobs=%d), %.2fx; stats identical; binaries byte-identical\n",
-		d1.Round(time.Microsecond), dN.Round(time.Microsecond), jobs, speedup)
-	if runtime.GOMAXPROCS(0) == 1 {
-		sb.WriteString("(single-CPU host: worker-pool speedup cannot materialize; expect ~1.0x)\n")
-	}
-	return sb.String(), nil
 }
 
 // Small indirection helpers (keep experiment code readable).

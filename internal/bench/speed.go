@@ -1,10 +1,13 @@
 package bench
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"time"
@@ -12,31 +15,44 @@ import (
 	"gobolt/bolt"
 	"gobolt/internal/benchfmt"
 	"gobolt/internal/core"
+	"gobolt/internal/elfx"
 	"gobolt/internal/passes"
 	"gobolt/internal/perf"
+	"gobolt/internal/profile"
 	"gobolt/internal/workload"
 )
 
-// Speed is the optimizer-performance experiment: where every other
-// experiment measures the *optimized binary*, this one measures the
-// *optimizer itself* (the paper's §6.1 processing-time claim). It builds
-// the clang workload, records a training profile, and then times the
-// pipeline's hot phases — the parallel loader (disassembly+CFG), the
-// emitter (code generation + layout + patching), and the full
-// load→passes→emit pipeline — reporting ns/op, B/op, and allocs/op per
-// phase in Go benchfmt, so two runs can be compared with benchstat (or
-// the built-in gate, see SpeedGate). The per-phase benches drive core
+// Speed is the optimizer-cost experiment: where every other experiment
+// measures the *optimized binary*, this one measures the *optimizer
+// itself* (the paper's §6.1 processing-time claim). It builds the clang
+// workload and records a training profile once, then sweeps jobs over
+// {1, jobs} and at each point times the pipeline's hot phases — the
+// loader (discovery plus parallel disassembly+CFG), the emitter (code
+// generation + layout + patching), and the full open→profile→optimize
+// session — reporting ns/op, B/op and allocs/op per phase in Go
+// benchfmt, so two runs can be compared with benchstat or checked
+// against BENCH.json with Gate. The per-phase benches drive core
 // directly: isolating one phase is exactly what the staged public API
 // hides on purpose, and measurement is the one caller with a legitimate
 // need to bypass it.
 //
-// Results are deterministic per (scale, jobs) for jobs=1 — allocation
-// counts are exact mallocgc counters and the pipeline allocates
-// identically every iteration — which is what makes the CI allocs/op
-// regression gate possible.
+// The pipeline line also carries the Amdahl split of its phase list:
+// serial-fraction (serial wall / total wall, informational — a
+// wall-clock ratio that rises whenever the parallel phases get faster)
+// and serial-phases (the exact number of phases that did not run on the
+// worker pool). Every point must emit a byte-identical binary with
+// identical statistics; any divergence is an error.
+//
+// allocs/op at jobs=1 and serial-phases are exact per (scale, jobs) —
+// mallocgc counters and a phase count — which is what makes the CI
+// gates on them possible.
 func Speed(scale Scale, jobs int) ([]benchfmt.Result, string, error) {
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
+	}
+	sweep := []int{1}
+	if jobs > 1 {
+		sweep = append(sweep, jobs)
 	}
 	spec := scale.apply(workload.Clang())
 	mode := perf.DefaultMode()
@@ -48,15 +64,84 @@ func Speed(scale Scale, jobs int) ([]benchfmt.Result, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
+
+	var results []benchfmt.Result
+	var points []speedPoint
+	for _, j := range sweep {
+		rs, p, err := speedAt(f, fd, spec.Name, j)
+		if err != nil {
+			return nil, "", fmt.Errorf("speed: jobs=%d: %w", j, err)
+		}
+		if len(points) > 0 {
+			if !bytes.Equal(points[0].out, p.out) {
+				return nil, "", fmt.Errorf("bench: emitted binaries diverge across worker counts (jobs=1 vs jobs=%d: %d vs %d bytes)",
+					j, len(points[0].out), len(p.out))
+			}
+			if !reflect.DeepEqual(points[0].rep.Stats, p.rep.Stats) {
+				return nil, "", fmt.Errorf("bench: stats diverge across worker counts (jobs=1 vs jobs=%d):\n  %v\n  %v",
+					j, points[0].rep.Stats, p.rep.Stats)
+			}
+		}
+		results = append(results, rs...)
+		points = append(points, p)
+	}
+
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "Optimizer cost on %s (%d simple functions, GOMAXPROCS=%d)\n",
+		spec.Name, points[0].rep.SimpleFuncs, runtime.GOMAXPROCS(0))
+	for _, p := range points {
+		fmt.Fprintf(&sb, "\n-- jobs=%d --\n", p.jobs)
+		p.rep.WriteTimings(&sb)
+	}
+	fmt.Fprintf(&sb, "\n  %5s %14s %8s %13s %12s %13s %16s\n",
+		"jobs", "pipeline/op", "speedup", "serial wall", "serial frac", "serial phases", "max useful jobs")
+	for _, p := range points {
+		a := core.Amdahl(p.rep.Phases)
+		maxJobs := "unbounded"
+		if !math.IsInf(a.MaxUsefulJobs, 1) {
+			maxJobs = fmt.Sprintf("~%.0f", math.Ceil(a.MaxUsefulJobs))
+		}
+		fmt.Fprintf(&sb, "  %5d %14v %7.2fx %13v %11.1f%% %13d %16s\n",
+			p.jobs, p.wall.Round(time.Microsecond), float64(points[0].wall)/float64(p.wall),
+			a.SerialWall.Round(time.Microsecond), 100*a.SerialFraction, serialPhases(p.rep.Phases), maxJobs)
+	}
+	fmt.Fprintf(&sb, "outputs byte-identical and stats identical across jobs=%v\n", sweep)
+	if runtime.GOMAXPROCS(0) == 1 {
+		sb.WriteString("(single-CPU host: worker-pool speedup cannot materialize; serial phase counts remain exact)\n")
+	}
+	sb.WriteByte('\n')
+	benchfmt.WriteHeader(&sb, [][2]string{
+		{"goos", runtime.GOOS},
+		{"goarch", runtime.GOARCH},
+		{"pkg", "gobolt/internal/bench"},
+		{"cpu-count", fmt.Sprintf("%d", runtime.NumCPU())},
+	})
+	for _, r := range results {
+		benchfmt.WriteResult(&sb, r)
+	}
+	return results, sb.String(), nil
+}
+
+// speedPoint is one jobs value of the sweep: the mean pipeline wall, and
+// the report and output image of its last measured session.
+type speedPoint struct {
+	jobs int
+	wall time.Duration
+	rep  *bolt.Report
+	out  []byte
+}
+
+// speedAt measures load, emit and pipeline at one worker count.
+func speedAt(f *elfx.File, fd *profile.Fdata, workload string, jobs int) ([]benchfmt.Result, speedPoint, error) {
 	cx := context.Background()
 	opts := boltOptions()
 	opts.Jobs = jobs
-
+	p := speedPoint{jobs: jobs}
 	var results []benchfmt.Result
 	bench := func(phase string, fn func() error) error {
-		r, err := measurePhase(fmt.Sprintf("BenchmarkSpeed/%s/%s/jobs=%d", phase, spec.Name, jobs), fn)
+		r, err := measurePhase(fmt.Sprintf("BenchmarkSpeed/%s/%s/jobs=%d", phase, workload, jobs), fn)
 		if err != nil {
-			return fmt.Errorf("speed: %s: %w", phase, err)
+			return fmt.Errorf("%s: %w", phase, err)
 		}
 		results = append(results, r)
 		return nil
@@ -68,7 +153,7 @@ func Speed(scale Scale, jobs int) ([]benchfmt.Result, string, error) {
 		_, err := core.NewContext(cx, f, opts)
 		return err
 	}); err != nil {
-		return nil, "", err
+		return nil, p, err
 	}
 
 	// emit: code generation + layout + patching on an already-optimized
@@ -77,59 +162,56 @@ func Speed(scale Scale, jobs int) ([]benchfmt.Result, string, error) {
 	// the first run, which the warmup iteration absorbs).
 	ectx, err := core.NewContext(cx, f, opts)
 	if err != nil {
-		return nil, "", err
+		return nil, p, err
 	}
 	if err := ectx.ApplyProfile(cx, fd); err != nil {
-		return nil, "", err
+		return nil, p, err
 	}
 	if err := core.NewPassManager(jobs).Run(cx, ectx, passes.BuildPipeline(opts)); err != nil {
-		return nil, "", err
+		return nil, p, err
 	}
 	if err := bench("emit", func() error {
 		_, err := ectx.Rewrite(cx)
 		return err
 	}); err != nil {
-		return nil, "", err
+		return nil, p, err
 	}
 
 	// pipeline: the end-to-end session (open → profile → optimize), the
-	// number a data-center deployment loop actually pays per binary.
+	// number a data-center deployment loop actually pays per binary. The
+	// last iteration's session is kept for the cross-jobs checks.
+	var sess *bolt.Session
 	if err := bench("pipeline", func() error {
-		sess, err := bolt.OpenELF(f, bolt.WithOptions(opts))
-		if err != nil {
-			return err
-		}
-		if err := sess.LoadProfile(cx, bolt.Fdata(fd)); err != nil {
-			return err
-		}
-		_, err = sess.Optimize(cx)
+		sess, p.rep, err = optimizeSession(f, fd, bolt.WithOptions(opts))
 		return err
 	}); err != nil {
-		return nil, "", err
+		return nil, p, err
 	}
-
-	var sb strings.Builder
-	writeSpeedReport(&sb, results)
-	return results, sb.String(), nil
+	if p.out, err = sess.Output().Bytes(); err != nil {
+		return nil, p, err
+	}
+	pipe := results[len(results)-1]
+	p.wall = time.Duration(pipe.Metrics["ns/op"])
+	pipe.Metrics["serial-fraction"] = core.Amdahl(p.rep.Phases).SerialFraction
+	pipe.Metrics["serial-phases"] = float64(serialPhases(p.rep.Phases))
+	return results, p, nil
 }
 
-// writeSpeedReport renders header + benchmark lines as benchfmt text.
-func writeSpeedReport(sb *strings.Builder, results []benchfmt.Result) {
-	benchfmt.WriteHeader(sb, [][2]string{
-		{"goos", runtime.GOOS},
-		{"goarch", runtime.GOARCH},
-		{"pkg", "gobolt/internal/bench"},
-		{"cpu-count", fmt.Sprintf("%d", runtime.NumCPU())},
-	})
-	for _, r := range results {
-		benchfmt.WriteResult(sb, r)
+// serialPhases counts the phases that did not run on the worker pool.
+func serialPhases(phases []core.PassTiming) int {
+	n := 0
+	for _, t := range phases {
+		if !t.Parallel {
+			n++
+		}
 	}
+	return n
 }
 
 // speedTargetTime bounds how long measurePhase spends per phase; the
 // iteration count adapts to it the way `go test -bench` adapts to
 // -benchtime.
-const speedTargetTime = 2 * time.Second
+var speedTargetTime = 2 * time.Second
 
 // measurePhase runs fn once as warmup (absorbing lazy initialization and
 // one-time CFG fixups), picks an iteration count from the warmup
@@ -180,112 +262,113 @@ func measurePhase(name string, fn func() error) (benchfmt.Result, error) {
 	}, nil
 }
 
-// BenchFile is the schema of the committed BENCH_*.json perf-trajectory
-// records. Gate carries the CI regression baseline: results recorded at
-// the exact (scale, jobs) the bench-smoke job runs, plus the benchmark
-// and threshold the gate enforces. Local carries full-scale numbers from
-// the documented multi-core protocol (informational). Comparison records
-// the old-vs-new deltas measured when the PR landed.
-type BenchFile struct {
-	Issue int    `json:"issue"`
-	Date  string `json:"date"`
-	Host  struct {
+// Baseline is the schema of the committed BENCH.json CI gate baseline:
+// a speed run's results at one (scale, jobs) plus the gates Gate
+// enforces against a fresh run at the same parameters.
+type Baseline struct {
+	Date string `json:"date"`
+	Host struct {
 		GOOS   string `json:"goos"`
 		GOARCH string `json:"goarch"`
 		CPUs   int    `json:"cpus"`
 	} `json:"host"`
-	Gate struct {
-		Experiment   string            `json:"experiment"`
-		Scale        float64           `json:"scale"`
-		Jobs         int               `json:"jobs"`
-		Benchmark    string            `json:"benchmark"`
-		Unit         string            `json:"unit"`
-		ThresholdPct float64           `json:"threshold_pct"`
-		Results      []benchfmt.Result `json:"results"`
-	} `json:"gate"`
-	Local      []benchfmt.Result `json:"local,omitempty"`
-	Comparison []benchfmt.Delta  `json:"comparison,omitempty"`
-	Notes      string            `json:"notes,omitempty"`
+	Scale   float64           `json:"scale"`
+	Jobs    int               `json:"jobs"`
+	Gates   []BaselineGate    `json:"gates"`
+	Results []benchfmt.Result `json:"results"`
+	Notes   string            `json:"notes,omitempty"`
 }
 
-// NewBenchFile builds a gate-baseline skeleton from a fresh speed run:
-// the gate is pinned to the run's (scale, jobs) and to the emission
-// benchmark's allocs/op at a 10% threshold — the number that is exact
-// and reproducible at jobs=1 (see Speed). Edit Issue/Local/Comparison/
-// Notes by hand before committing.
-func NewBenchFile(scale Scale, jobs int, results []benchfmt.Result, now time.Time) *BenchFile {
+// BaselineGate fails a run whose value of Unit on Benchmark (a name
+// without the GOMAXPROCS suffix) exceeds the baseline's by more than
+// ThresholdPct percent.
+type BaselineGate struct {
+	Benchmark    string  `json:"benchmark"`
+	Unit         string  `json:"unit"`
+	ThresholdPct float64 `json:"threshold_pct"`
+}
+
+// NewBaseline builds a baseline from a fresh speed run with the two
+// exact gates: emission allocs/op at jobs=1 (+10%), and the pipeline's
+// serial-phases count at the run's jobs (+0%, so a phase that falls off
+// the worker pool fails). Edit Notes by hand before committing.
+func NewBaseline(scale Scale, jobs int, results []benchfmt.Result, now time.Time) *Baseline {
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
-	bf := &BenchFile{Date: now.UTC().Format("2006-01-02")}
-	bf.Host.GOOS = runtime.GOOS
-	bf.Host.GOARCH = runtime.GOARCH
-	bf.Host.CPUs = runtime.NumCPU()
-	bf.Gate.Experiment = "speed"
-	bf.Gate.Scale = float64(scale)
-	bf.Gate.Jobs = jobs
-	bf.Gate.Unit = "allocs/op"
-	bf.Gate.ThresholdPct = 10
-	bf.Gate.Results = results
+	b := &Baseline{Date: now.UTC().Format("2006-01-02"), Scale: float64(scale), Jobs: jobs, Results: results}
+	b.Host.GOOS = runtime.GOOS
+	b.Host.GOARCH = runtime.GOARCH
+	b.Host.CPUs = runtime.NumCPU()
 	for _, r := range results {
-		if strings.Contains(r.Name, "/emit/") {
-			bf.Gate.Benchmark = benchfmt.BaseName(r.Name)
+		name := benchfmt.BaseName(r.Name)
+		switch {
+		case strings.Contains(name, "/emit/") && strings.HasSuffix(name, "/jobs=1"):
+			b.Gates = append(b.Gates, BaselineGate{Benchmark: name, Unit: "allocs/op", ThresholdPct: 10})
+		case jobs > 1 && strings.Contains(name, "/pipeline/") && strings.HasSuffix(name, fmt.Sprintf("/jobs=%d", jobs)):
+			b.Gates = append(b.Gates, BaselineGate{Benchmark: name, Unit: "serial-phases", ThresholdPct: 0})
 		}
 	}
-	return bf
+	return b
 }
 
-// Marshal renders the record as indented JSON ready to commit.
-func (bf *BenchFile) Marshal() ([]byte, error) {
-	raw, err := json.MarshalIndent(bf, "", "  ")
+// Marshal renders the baseline as indented JSON ready to commit.
+func (b *Baseline) Marshal() ([]byte, error) {
+	raw, err := json.MarshalIndent(b, "", "  ")
 	if err != nil {
 		return nil, err
 	}
 	return append(raw, '\n'), nil
 }
 
-// LoadBenchFile reads a committed BENCH_*.json record.
-func LoadBenchFile(path string) (*BenchFile, error) {
+// LoadBaseline reads a committed BENCH.json baseline.
+func LoadBaseline(path string) (*Baseline, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var bf BenchFile
-	if err := json.Unmarshal(raw, &bf); err != nil {
+	var b Baseline
+	if err := json.Unmarshal(raw, &b); err != nil {
 		return nil, fmt.Errorf("bench: %s: %w", path, err)
 	}
-	return &bf, nil
+	return &b, nil
 }
 
-// SpeedGate compares a fresh speed run against the baseline committed in
-// a BENCH_*.json file and fails if the gated benchmark's gated unit
-// regressed beyond the recorded threshold. The run must have been taken
-// at the baseline's (scale, jobs) — allocs/op scales with the workload,
-// so cross-scale comparisons are meaningless and rejected outright.
-func SpeedGate(bf *BenchFile, scale Scale, jobs int, results []benchfmt.Result) (string, error) {
+// Gate checks a fresh speed run against every gate of a baseline and
+// returns the comparison table. The run must have been taken at the
+// baseline's (scale, jobs): allocation counts scale with the workload
+// and the phase schedule depends on jobs, so other comparisons are
+// rejected outright.
+func Gate(b *Baseline, scale Scale, jobs int, results []benchfmt.Result) (string, error) {
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
-	if float64(scale) != bf.Gate.Scale || jobs != bf.Gate.Jobs {
-		return "", fmt.Errorf("bench: speed gate baseline was recorded at scale=%g jobs=%d, this run used scale=%g jobs=%d; rerun with the baseline's parameters",
-			bf.Gate.Scale, bf.Gate.Jobs, float64(scale), jobs)
+	if float64(scale) != b.Scale || jobs != b.Jobs {
+		return "", fmt.Errorf("bench: baseline was recorded at scale=%g jobs=%d, this run used scale=%g jobs=%d; rerun with the baseline's parameters",
+			b.Scale, b.Jobs, float64(scale), jobs)
 	}
-	deltas := benchfmt.Compare(bf.Gate.Results, results, bf.Gate.Unit)
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "speed gate (%s, threshold +%.0f%%) vs baseline:\n", bf.Gate.Unit, bf.Gate.ThresholdPct)
-	sb.WriteString(benchfmt.FormatDeltas(deltas))
-	var gated *benchfmt.Delta
-	for i := range deltas {
-		if deltas[i].Name == bf.Gate.Benchmark {
-			gated = &deltas[i]
+	sb.WriteString("speed gates vs baseline:\n")
+	var failed []string
+	for _, g := range b.Gates {
+		var d *benchfmt.Delta
+		for _, c := range benchfmt.Compare(b.Results, results, g.Unit) {
+			if c.Name == g.Benchmark {
+				d = &c
+			}
 		}
+		if d == nil {
+			return sb.String(), fmt.Errorf("bench: gated %s of %s missing from this run", g.Unit, g.Benchmark)
+		}
+		verdict := "ok"
+		if d.New > d.Old*(1+g.ThresholdPct/100) {
+			verdict = "FAIL"
+			failed = append(failed, fmt.Sprintf("%s %s %g -> %g, over the +%g%% gate", d.Name, d.Unit, d.Old, d.New, g.ThresholdPct))
+		}
+		fmt.Fprintf(&sb, "%s    limit +%g%%  %s\n", strings.TrimSuffix(benchfmt.FormatDeltas([]benchfmt.Delta{*d}), "\n"), g.ThresholdPct, verdict)
 	}
-	if gated == nil {
-		return sb.String(), fmt.Errorf("bench: gated benchmark %q missing from this run", bf.Gate.Benchmark)
-	}
-	if gated.Pct > bf.Gate.ThresholdPct {
-		return sb.String(), fmt.Errorf("bench: %s %s regressed %.2f%% (%.0f -> %.0f), over the +%.0f%% gate",
-			gated.Name, gated.Unit, gated.Pct, gated.Old, gated.New, bf.Gate.ThresholdPct)
+	if len(failed) > 0 {
+		return sb.String(), fmt.Errorf("bench: regressed: %s", strings.Join(failed, "; "))
 	}
 	return sb.String(), nil
 }

@@ -68,6 +68,9 @@ func TestRoundTrip(t *testing.T) {
 
 func TestRelocRoundTrip(t *testing.T) {
 	f := sampleFile()
+	// Room for the 8-byte word the absolute relocation at offset 2 patches.
+	text := f.Section(".text")
+	text.Data = append(text.Data, make([]byte, 8)...)
 	f.EmitRelocs = true
 	f.Relas[".text"] = []Rela{
 		{Off: 0, Type: RX8664PC32, Sym: "table", Addend: -4},
@@ -192,26 +195,60 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestReadRejectsHostileSectionHeaders mutates one section header field
-// of a valid image at a time; Read must return an error, not panic.
+// TestReadRejectsHostileSectionHeaders mutates one header or
+// relocation field of a valid image at a time; Read must return an
+// error, not panic.
 func TestReadRejectsHostileSectionHeaders(t *testing.T) {
+	// relaWord returns the first .rela.data entry's r_offset field.
+	relaWord := func(data []byte, shdr func(uint32) []byte) []byte {
+		return data[binary.LittleEndian.Uint64(shdr(SHTRela)[24:]):]
+	}
 	for _, tc := range []struct {
 		name   string
-		mutate func(shdr func(typ uint32) []byte)
+		mutate func(data []byte, shdr func(typ uint32) []byte)
 	}{
-		{"symtab-link-out-of-range", func(shdr func(uint32) []byte) {
+		{"symtab-link-out-of-range", func(_ []byte, shdr func(uint32) []byte) {
 			binary.LittleEndian.PutUint32(shdr(SHTSymtab)[40:], 0xFFFF)
 		}},
-		{"offset-plus-size-wraps", func(shdr func(uint32) []byte) {
+		{"offset-plus-size-wraps", func(_ []byte, shdr func(uint32) []byte) {
 			h := shdr(SHTProgbits)
 			binary.LittleEndian.PutUint64(h[24:], math.MaxUint64)
 			binary.LittleEndian.PutUint64(h[32:], 2)
 		}},
+		{"shoff-plus-table-wraps", func(data []byte, _ func(uint32) []byte) {
+			shnum := uint64(binary.LittleEndian.Uint16(data[60:]))
+			binary.LittleEndian.PutUint64(data[40:], -shnum*shdrSize)
+		}},
+		{"nobits-too-large", func(_ []byte, shdr func(uint32) []byte) {
+			h := shdr(SHTProgbits)
+			binary.LittleEndian.PutUint32(h[4:], SHTNobits)
+			binary.LittleEndian.PutUint64(h[32:], math.MaxUint64)
+		}},
+		{"alignment-not-power-of-two", func(_ []byte, shdr func(uint32) []byte) {
+			binary.LittleEndian.PutUint64(shdr(SHTProgbits)[48:], 24)
+		}},
+		{"alignment-past-page", func(_ []byte, shdr func(uint32) []byte) {
+			binary.LittleEndian.PutUint64(shdr(SHTProgbits)[48:], 1<<40)
+		}},
+		{"rela-below-section", func(data []byte, shdr func(uint32) []byte) {
+			binary.LittleEndian.PutUint64(relaWord(data, shdr), 0x403000-8)
+		}},
+		{"rela-word-past-end", func(data []byte, shdr func(uint32) []byte) {
+			// An 8-byte absolute word starting 4 bytes before the end
+			// of the 32-byte .data section.
+			binary.LittleEndian.PutUint64(relaWord(data, shdr), 0x403000+28)
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			data, err := sampleFile().Bytes()
+			f := sampleFile()
+			f.EmitRelocs = true
+			f.Relas[".data"] = []Rela{{Off: 8, Type: RX866464, Sym: "table"}}
+			data, err := f.Bytes()
 			if err != nil {
 				t.Fatal(err)
+			}
+			if _, err := Read(data); err != nil {
+				t.Fatalf("unmutated image: %v", err)
 			}
 			shoff := binary.LittleEndian.Uint64(data[40:])
 			shnum := uint64(binary.LittleEndian.Uint16(data[60:]))
@@ -226,10 +263,38 @@ func TestReadRejectsHostileSectionHeaders(t *testing.T) {
 				t.Fatalf("no section header of type %d", typ)
 				return nil
 			}
-			tc.mutate(shdr)
+			tc.mutate(data, shdr)
 			if _, err := Read(data); err == nil {
-				t.Fatal("Read accepted a hostile section header")
+				t.Fatal("Read accepted a hostile image")
 			}
 		})
 	}
+}
+
+// FuzzRead feeds arbitrary bytes to Read. It must never panic, and any
+// image it accepts must serialize again without panicking.
+func FuzzRead(f *testing.F) {
+	plain, err := sampleFile().Bytes()
+	if err != nil {
+		f.Fatal(err)
+	}
+	rf := sampleFile()
+	rf.EmitRelocs = true
+	rf.Relas[".data"] = []Rela{
+		{Off: 0, Type: RX866464, Sym: "main"},
+		{Off: 8, Type: RX8664PC32, Sym: "table", Addend: -4},
+	}
+	withRelas, err := rf.Bytes()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(plain)
+	f.Add(withRelas)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := Read(data)
+		if err != nil {
+			return
+		}
+		_, _ = g.Bytes()
+	})
 }

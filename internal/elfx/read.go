@@ -7,6 +7,10 @@ import (
 	"strings"
 )
 
+// maxNobits caps the total size of NOBITS sections Read will
+// materialize.
+const maxNobits = 16 << 20
+
 // Read parses an ELF64 image previously produced by Bytes (or any simple
 // statically linked ELF64 executable using the same subset of features).
 func Read(data []byte) (*File, error) {
@@ -25,7 +29,7 @@ func Read(data []byte) (*File, error) {
 	if shentsize != shdrSize {
 		return nil, fmt.Errorf("elfx: unexpected shentsize %d", shentsize)
 	}
-	if shoff+shnum*shdrSize > uint64(len(data)) {
+	if shoff > uint64(len(data)) || shnum*shdrSize > uint64(len(data))-shoff {
 		return nil, fmt.Errorf("elfx: section header table out of range")
 	}
 
@@ -69,9 +73,15 @@ func Read(data []byte) (*File, error) {
 
 	names := make([]string, shnum)
 	secByIdx := make([]*Section, shnum)
+	var nobits uint64
 	for i := uint64(1); i < shnum; i++ {
 		h := hdrs[i]
 		names[i] = strAt(shstr, h.nameOff)
+		// Bytes pads to the alignment, so a huge one would become a
+		// huge output file.
+		if h.addralign > pageAlign || h.addralign&(h.addralign-1) != 0 {
+			return nil, fmt.Errorf("elfx: section %s has alignment %d", names[i], h.addralign)
+		}
 		var payload []byte
 		if h.typ != SHTNobits {
 			// Compare against the remaining length so a huge offset
@@ -81,6 +91,12 @@ func Read(data []byte) (*File, error) {
 			}
 			payload = append([]byte(nil), data[h.off:h.off+h.size]...)
 		} else {
+			// NOBITS payloads are materialized as zeroes, so their
+			// total is capped rather than trusted.
+			if h.size > maxNobits-nobits {
+				return nil, fmt.Errorf("elfx: NOBITS section %s of %d bytes exceeds the %d-byte limit", names[i], h.size, maxNobits)
+			}
+			nobits += h.size
 			payload = make([]byte, h.size)
 		}
 		s := &Section{
@@ -155,6 +171,15 @@ func Read(data []byte) (*File, error) {
 			var symName string
 			if symNames != nil && symIdx < uint64(len(symNames)) {
 				symName = symNames[symIdx]
+			}
+			// The patched word must lie inside the target section, so
+			// consumers can index target.Data[Off:] without a check.
+			width := uint64(4)
+			if uint32(info) == RX866464 {
+				width = 8
+			}
+			if off < target.Addr || off-target.Addr > target.Size() || width > target.Size()-(off-target.Addr) {
+				return nil, fmt.Errorf("elfx: %s entry %d patches %#x, outside %s", names[i], j, off, targetName)
 			}
 			f.Relas[targetName] = append(f.Relas[targetName], Rela{
 				Off: off - target.Addr, Type: uint32(info), Sym: symName, Addend: addend,
